@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import PMFTable
-from .qcalc import QBase, as_qbase, e_q, sigmoid
+from .qcalc import QBase, _lattice_sum, as_qbase, np_sigmoid
 
 __all__ = [
     "ConsistencyError",
@@ -34,9 +34,9 @@ __all__ = [
     "sigma_limit",
 ]
 
-# Half-width of the limit-law lattice window; the q^((|x|-2)^2/2) tail keeps
-# the dropped mass under 1e-15 for q <= 0.9.
+# Least half-width of the limit-law window; limit_law widens it as q -> 1.
 LATTICE_HALF_WIDTH = 50
+_LATTICE_TAIL_MASS = 1e-15
 
 
 class DriftRangeError(ValueError):
@@ -122,22 +122,20 @@ def _beta_float(beta) -> float:
 def c_direct(beta, q) -> float:
     """Mean-shift constant c(beta, q) from its bilateral series form.
 
-    c = 1 - 1/(1+q^-beta) - beta - sum_{l>=0} 1/(1+q^(-l-beta-1))
-        + sum_{l>=0} 1/(1+q^(-l+beta-1)),
-    truncated once the geometric terms drop below 1e-16 * (1-q), which keeps
-    the dropped tail under 1e-15.
+    c = 1 - 1/(1+q^-beta) - beta + sum_{l>=0} (up_l - down_l), up_l =
+    1/(1+q^(-l+beta-1)), down_l = 1/(1+q^(-l-beta-1)). Each pair is one term
+    up_l (1 - down_l) (1 - q^(2 beta)), so no two O(1/|log q|) sums cancel;
+    terms stop below 1e-16 * (1-q), keeping the dropped tail under 1e-15.
     """
     b = _beta_float(beta)
     q = as_qbase(q)
-    lq = q.log
-    count = int(math.ceil((math.log(1e-16) + math.log(1.0 - q.value)) / lq)) + 3
+    h = -q.log
+    count = int(math.ceil((math.log(1e-16) + math.log(1.0 - q.value)) / q.log)) + 3
     l = np.arange(count)
-    # 1/(1+q^a) = 1/(1+exp(a log q)), with a = -(l+beta+1) and a = -(l+1-beta)
-    down = 1.0 / (1.0 + np.exp(-(l + b + 1.0) * lq))
-    up = 1.0 / (1.0 + np.exp(-(l + 1.0 - b) * lq))
-    return math.fsum(
-        [1.0, -sigmoid(b * lq), -b, -math.fsum(down.tolist()), math.fsum(up.tolist())]
-    )
+    pairs = np_sigmoid(-(l + 1.0 - b) * h) * np_sigmoid((l + 1.0 + b) * h)
+    pairs *= -math.expm1(-2.0 * b * h)
+    z = math.exp(-b * h)
+    return math.fsum([1.0, -z / (1.0 + z), -b, *pairs.tolist()])
 
 
 def default_fourier_terms(q) -> int:
@@ -203,24 +201,15 @@ def sigma_limit(beta, q) -> float:
     """Limiting variance along a constant-beta subsequence.
 
     Both halves of the finite variance split, extended to infinite range:
-    sum_{i>=0} q^(-beta-i)/(1+q^(-beta-i))^2 + sum_{i>=0} q^(i+1-beta)/(1+q^(i+1-beta))^2.
-    Terms are p(1-p) of logistic values; truncation below 1e-16 certifies 1e-14.
+    sum_{i>=0} q^(-beta-i)/(1+q^(-beta-i))^2 + sum_{i>=0} q^(i+1-beta)/(1+q^(i+1-beta))^2,
+    two dsigmoid lattice sums.
     """
     b = _beta_float(beta)
-    q = as_qbase(q)
-    alq = -q.log
-    total = []
-    i = 0
-    while True:
-        t1 = (b + i) * alq  # ln q^(-beta-i)
-        t2 = -(i + 1 - b) * alq
-        a = sigmoid(t1) * sigmoid(-t1)
-        c = sigmoid(t2) * sigmoid(-t2)
-        total.append(a + c)
-        if i > 2 and max(a, c) < 1e-16:
-            break
-        i += 1
-    return math.fsum(total)
+    h = -as_qbase(q).log
+    return math.fsum([
+        _lattice_sum("dsigmoid", -b * h, h, math.inf),
+        _lattice_sum("dsigmoid", -(1.0 - b) * h, h, math.inf),
+    ])
 
 
 def dnorm_alpha(beta) -> float:
@@ -254,28 +243,31 @@ def floor_case(beta, q) -> int:
 def limit_law(beta, q) -> LimitLaw:
     """Constant-beta limit law of the standardized KB sequence.
 
-    Lattice probabilities (window |x| <= 50) follow the three-case form:
-    beta < 1/2:  C q^((x-1)(x-2 beta)/2),  C = e_q(q) e_q(-q^beta) e_q(-q^(1-beta))
-    beta > 1/2:  C q^(x(1+x-2 beta)/2)
-    beta = 1/2:  e_q(q) e_q(-q^(1/2))^2 q^(x^2/2)
-    These coincide with discrete normals at alpha = dnorm_alpha(beta).
+    Lattice probabilities, with C = e_q(q) e_q(-q^beta) e_q(-q^(1-beta)) in log form:
+    beta < 1/2:   C q^((x-1)(x-2 beta)/2)
+    beta >= 1/2:  C q^(x(1+x-2 beta)/2)
+    These coincide with discrete normals at alpha = dnorm_alpha(beta). Both
+    exponents are >= (|x|-1)^2/2, so the window |x| <= K drops mass
+    <= 2 C q^(K^2/2) / (1-q); K keeps that under _LATTICE_TAIL_MASS.
     """
     b = _beta_float(beta)
     q = as_qbase(q)
-    xs = np.arange(-LATTICE_HALF_WIDTH, LATTICE_HALF_WIDTH + 1)
-    if b == 0.5:
-        const = e_q(q.value, q) * e_q(-q.pow(0.5), q) ** 2
-        expo = 0.5 * xs * xs
-        delta = 1
+    h = -q.log
+    log_c = -math.fsum([
+        _lattice_sum("log1mexp", -h, h, math.inf),
+        _lattice_sum("softplus", -b * h, h, math.inf),
+        _lattice_sum("softplus", -(1.0 - b) * h, h, math.inf),
+    ])
+    slack = log_c + math.log(2.0 / (1.0 - q.value) / _LATTICE_TAIL_MASS)
+    half = max(LATTICE_HALF_WIDTH, math.ceil(math.sqrt(2.0 * max(slack, 0.0) / h)))
+    xs = np.arange(-half, half + 1)
+    if b < 0.5:
+        expo = 0.5 * (xs - 1.0) * (xs - 2.0 * b)
+        delta = 0
     else:
-        const = e_q(q.value, q) * e_q(-q.pow(b), q) * e_q(-q.pow(1.0 - b), q)
-        if b < 0.5:
-            expo = 0.5 * (xs - 1.0) * (xs - 2.0 * b)
-            delta = 0
-        else:
-            expo = 0.5 * xs * (1.0 + xs - 2.0 * b)
-            delta = 1
-    probs = const * np.exp(expo * q.log)
+        expo = 0.5 * xs * (1.0 + xs - 2.0 * b)
+        delta = 1
+    probs = np.exp(log_c + expo * q.log)
     table = PMFTable(int(xs[0]), probs, min(math.fsum(probs.tolist()), 1.0))
     if floor_case(b, q) != delta:
         raise ConsistencyError(f"delta mismatch at beta={b}")

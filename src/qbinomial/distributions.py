@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcalc import (
-    QBase,
-    ScaledReal,
-    as_qbase,
-    log_qq_factorial,
-    np_sigmoid,
-    q_pochhammer_inf,
-    sigmoid,
-    softplus,
-)
+from .qcalc import QBase, ScaledReal, _lattice_sum, as_qbase, log_qq_factorial, np_sigmoid
 
 __all__ = [
     "Binomial",
@@ -239,9 +230,8 @@ def _table_mass(probs: np.ndarray) -> float:
 
 
 def _kb_log_norm(d: KempBinomial) -> float:
-    """ln prod_{i<n} (1 + theta q^i) via stable softplus terms."""
-    lt, lq = d.log_theta, d.q.log
-    return math.fsum(softplus(lt + i * lq) for i in range(d.n))
+    """ln prod_{i<n} (1 + theta q^i), a softplus lattice sum."""
+    return _lattice_sum("softplus", d.log_theta, -d.q.log, d.n)
 
 
 def kb_log_pmf(d: KempBinomial, x: int) -> float:
@@ -271,9 +261,7 @@ def kb_table(d: KempBinomial) -> PMFTable:
         probs = np.zeros(n + 1)
         probs[0] = 1.0
         return PMFTable(0, probs, 1.0)
-    lqq = np.concatenate(
-        ([0.0], np.cumsum(np.log1p(-np.exp(np.arange(1, n + 1) * q.log))))
-    )
+    lqq = np.concatenate(([0.0], np.cumsum(np.log(-np.expm1(np.arange(1, n + 1) * q.log)))))
     x = np.arange(n + 1)
     logp = (
         lqq[n]
@@ -300,11 +288,8 @@ def kb_moments(d: KempBinomial) -> MomentPair:
     """
     if d.theta.is_zero or d.n == 0:
         return MomentPair(0.0, 0.0)
-    lt, lq = d.log_theta, d.q.log
-    ps = [sigmoid(lt + i * lq) for i in range(d.n)]
-    mean = math.fsum(ps)
-    var = math.fsum(p * (1.0 - p) for p in ps)
-    return MomentPair(mean, var)
+    lt, h = d.log_theta, -d.q.log
+    return MomentPair(_lattice_sum("sigmoid", lt, h, d.n), _lattice_sum("dsigmoid", lt, h, d.n))
 
 
 def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None):
@@ -331,8 +316,8 @@ def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None
 
 
 def _heine_log_eq_neg_theta(d: Heine) -> float:
-    """ln e_q(-theta) = -ln (-theta; q)_inf."""
-    return -math.log(q_pochhammer_inf(-d.theta, d.q))
+    """ln e_q(-theta) = -ln (-theta; q)_inf, a softplus lattice sum."""
+    return -_lattice_sum("softplus", math.log(d.theta), -d.q.log, math.inf)
 
 
 def heine_pmf(d: Heine, x: int) -> float:
@@ -351,42 +336,10 @@ def heine_pmf(d: Heine, x: int) -> float:
 
 
 def heine_mean(d: Heine) -> float:
-    """Mean of H(theta): sum_{i>=0} theta q^i / (1 + theta q^i).
-
-    For theta < 0.9 the alternating rearrangement
-    sum_{l>=1} (-1)^(l-1) theta^l / (1 - q^l) converges geometrically and the
-    first dropped term bounds the truncation; otherwise the series is summed
-    directly until the geometric tail theta q^I / (1-q) drops below 1e-15.
-    """
-    theta, q = d.theta, d.q
-    if theta == 0.0:
-        return 0.0
-    if theta < 0.9:
-        terms = []
-        power, l = theta, 1
-        while True:
-            t = power / -math.expm1(l * q.log)
-            terms.append(t if l % 2 else -t)
-            if t < 1e-15:
-                break
-            l += 1
-            power *= theta
-        return math.fsum(terms)
-    lt, lq = math.log(theta), q.log
-    count = math.ceil((math.log(1e-15) + math.log(1.0 - q.value) - lt) / lq) + 1
-    chunks = []
-    for start in range(0, count, 1 << 16):
-        i = np.arange(start, min(start + (1 << 16), count))
-        chunks.append(math.fsum(np_sigmoid(lt + i * lq).tolist()))
-    return math.fsum(chunks)
-
-
-def _heine_tail_bound(d: Heine, x: int, log_qq_inf: float) -> float:
-    """Upper bound q^{x(x-1)/2} theta^x / (q;q)_inf on P(X = x)."""
+    """Mean of H(theta): sum_{i>=0} theta q^i / (1 + theta q^i), a sigmoid lattice sum."""
     if d.theta == 0.0:
         return 0.0
-    t = 0.5 * x * (x - 1) * d.q.log + x * math.log(d.theta) - log_qq_inf
-    return math.exp(t) if t < 700 else math.inf
+    return _lattice_sum("sigmoid", math.log(d.theta), -d.q.log, math.inf)
 
 
 def heine_table(d: Heine, tol: float = 1e-12) -> PMFTable:
@@ -398,19 +351,22 @@ def heine_table(d: Heine, tol: float = 1e-12) -> PMFTable:
     if d.theta == 0.0:
         return PMFTable(0, np.array([1.0]), 1.0)
     q = d.q
-    log_qq_inf = math.log(q_pochhammer_inf(q.value, q))
+    log_qq_inf = _lattice_sum("log1mexp", q.log, -q.log, math.inf)
     log_const = _heine_log_eq_neg_theta(d)
     probs = []
-    lqq = 0.0  # ln (q;q)_x, accumulated
+    lqq, carry = 0.0, 0.0  # ln (q;q)_x = lqq + carry, a compensated running sum
     x = 0
     while True:
-        logp = 0.5 * x * (x - 1) * q.log + x * math.log(d.theta) - lqq + log_const
+        logp = 0.5 * x * (x - 1) * q.log + x * math.log(d.theta) - (lqq + carry) + log_const
         probs.append(math.exp(logp))
-        ratio = d.theta * q.pow(x)
-        if ratio < 0.5 and 2.0 * _heine_tail_bound(d, x + 1, log_qq_inf) < tol * 1e-3:
+        # q^{x(x+1)/2} theta^{x+1} / (q;q)_inf bounds P(X = x+1)
+        bound = 0.5 * (x + 1) * x * q.log + (x + 1) * math.log(d.theta) - log_qq_inf
+        if d.theta * q.pow(x) < 0.5 and bound < math.log(tol * 5e-4):
             break
         x += 1
-        lqq += math.log1p(-q.pow(x))
+        term = math.log(-math.expm1(x * q.log))
+        carry += (lqq - (lqq + term)) + term  # exact while |lqq| >= |term|, as here
+        lqq += term
     arr = np.array(probs)
     return PMFTable(0, arr, _table_mass(arr))
 

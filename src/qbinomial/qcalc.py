@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -28,16 +29,7 @@ __all__ = [
     "q_number",
     "q_pochhammer",
     "q_pochhammer_inf",
-    "sigmoid",
-    "softplus",
 ]
-
-# Truncation policy for infinite products/series: stop once the current factor
-# deviates from 1 by less than FACTOR_EPS; the geometric tail then bounds the
-# relative error by FACTOR_EPS / (1 - q), i.e. below 1e-14 for q <= 0.999.
-FACTOR_EPS = 1e-17
-
-_CHUNK = 1 << 16
 
 
 class PoleError(ValueError):
@@ -73,21 +65,6 @@ def as_qbase(q) -> QBase:
     return q if isinstance(q, QBase) else QBase(float(q))
 
 
-def sigmoid(t: float) -> float:
-    """Logistic 1/(1 + exp(-t)), stable for any float t."""
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    z = math.exp(t)
-    return z / (1.0 + z)
-
-
-def softplus(t: float) -> float:
-    """log(1 + exp(t)), stable for any float t."""
-    if t > 0.0:
-        return t + math.log1p(math.exp(-t))
-    return math.log1p(math.exp(t))
-
-
 def np_sigmoid(t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
     pos = t >= 0.0
@@ -95,6 +72,55 @@ def np_sigmoid(t: np.ndarray) -> np.ndarray:
     z = np.exp(t[~pos])
     out[~pos] = z / (1.0 + z)
     return out
+
+
+# The lattice-sum kernel. Terms with |t| < _DIRECT_T are summed directly. Each
+# kind g has g(t) = sum_k c_k e^{kt} for t < 0, and sigmoid(t) = 1 - sigmoid(-t),
+# dsigmoid(t) = dsigmoid(-t), softplus(t) = t + softplus(-t), so one series
+# closes both saturated ends; it stops once e^{kt} has fallen by e^-_SERIES_DECAY.
+_DIRECT_T = 1.0
+_SERIES_DECAY = 45.0
+_K = np.arange(1.0, 2.0 + math.ceil(_SERIES_DECAY / _DIRECT_T))
+_ALT = np.where(_K % 2, 1.0, -1.0)
+_KINDS = {  # kind: (g, c_k)
+    "sigmoid": (lambda t: 1.0 / (1.0 + np.exp(-t)), _ALT),
+    "dsigmoid": (lambda t: 0.25 / np.cosh(0.5 * t) ** 2, _ALT * _K),
+    "softplus": (lambda t: np.log1p(np.exp(t)), _ALT / _K),
+    "log1mexp": (lambda t: np.log(-np.expm1(t)), -1.0 / _K),
+}
+
+
+def _lattice_sum(kind: str, a: float, h: float, n) -> float:
+    """sum_{i<n} g(a - i h) for h > 0 and n a nonnegative int or math.inf.
+
+    g is sigmoid(t) = 1/(1 + e^-t), dsigmoid = sigmoid (1 - sigmoid),
+    softplus(t) = ln(1 + e^t) or log1mexp(t) = ln(1 - e^t) (needs a < 0).
+    With T = _DIRECT_T, the block t <= -T is closed with g's series, each
+    term summed over the block as a geometric series (for sigmoid, Euler's
+    sum_l (-1)^(l-1) x^l / (1 - q^l)); by g's symmetry the block t >= T is a
+    base plus that sum over the mirrored block. The cost is O(1/h) for any n.
+    """
+    direct, coef = _KINDS[kind]
+    # t >= T for i < iu, t <= -T for i >= il
+    iu = 0 if a < _DIRECT_T else min(n, math.floor((a - _DIRECT_T) / h) + 1)
+    il = min(n, max(iu, math.ceil((a + _DIRECT_T) / h)))
+    parts = direct(a - np.arange(iu, il) * h).tolist() if il > iu else []
+    if iu:
+        mirror = _lattice_sum(kind, (iu - 1) * h - a, h, iu)  # sum of g(-t) over the block
+        if kind == "sigmoid":
+            parts += [float(iu), -mirror]
+        elif kind == "softplus":  # the block's sum of t, exact before its one rounding
+            parts += [float(iu * Fraction(a) - iu * (iu - 1) // 2 * Fraction(h)), mirror]
+        else:
+            parts.append(mirror)
+    if il < n:
+        t0, count = a - il * h, n - il
+        k = _K[: 1 + math.ceil(_SERIES_DECAY / -t0)]
+        terms = coef[: k.size] * np.exp(k * t0) / -np.expm1(k * -h)
+        if count * h < _SERIES_DECAY:  # else 1 - e^{-k h count} rounds to 1
+            terms *= -np.expm1(k * (-h * count))
+        parts += terms.tolist()
+    return math.fsum(parts)
 
 
 @dataclass(frozen=True)
@@ -300,48 +326,35 @@ def q_pochhammer(z, q, n: int) -> ScaledReal:
 
 
 def _log_pochhammer_inf(z: float, q: QBase, guard: float | None = None):
-    """(sign, log|value|) of (z; q)_inf; sign 0.0 for an exact zero factor.
+    """(sign, ln|(z; q)_inf|) from lattice sums; sign 0.0 for a zero factor.
 
-    Truncates after the factor index I with |z| q^I < FACTOR_EPS; the dropped
-    tail changes the log by at most FACTOR_EPS / (1 - q).
+    Factor i is 1 - e^{t_i}, t_i = ln z - i h; for the m factors with t_i >= 0,
+    ln(e^t - 1) = t + ln(1 - e^-t). guard raises PoleError when a factor is
+    within guard of zero.
     """
-    az = abs(z)
-    if az == 0.0 or az < FACTOR_EPS:
+    if z == 0.0:
         return 1.0, 0.0
-    lq = q.log
-    count = max(1, math.ceil((math.log(FACTOR_EPS) - math.log(az)) / lq) + 1)
-    sign = 1.0
-    total = 0.0
-    for start in range(0, count, _CHUNK):
-        i = np.arange(start, min(start + _CHUNK, count))
-        u = z * np.exp(i * lq)  # z q^i
-        factors = 1.0 - u
-        if guard is not None and np.any(np.abs(factors) < guard):
-            raise PoleError(f"argument z={z!r} within {guard} of a pole q**-i")
-        if np.any(factors == 0.0):
-            return 0.0, -math.inf
-        neg = factors < 0.0
-        if np.any(neg):
-            if np.count_nonzero(neg) % 2:
-                sign = -sign
-            total += float(np.sum(np.log(np.abs(factors[neg]))))
-            small = ~neg
-        else:
-            small = np.ones_like(neg)
-        total += float(np.sum(np.log1p(-u[small])))
-    return sign, total
+    h = -q.log
+    if z < 0.0:
+        return 1.0, _lattice_sum("softplus", math.log(-z), h, math.inf)
+    lz = math.log(z)
+    m = max(0, math.floor(lz / h) + 1)  # factors i < m have z q^i >= 1
+    near = [lz - i * h for i in (m - 1, m) if i >= 0]  # t of the factors nearest zero
+    if guard is not None and min(abs(math.expm1(t)) for t in near) < guard:
+        raise PoleError(f"argument z={z!r} within {guard} of a pole q**-i")
+    if (m and near[0] <= 0.0) or near[-1] >= 0.0:  # a factor is zero up to rounding
+        return 0.0, -math.inf
+    tail = _lattice_sum("log1mexp", lz - m * h, h, math.inf)
+    if not m:
+        return 1.0, tail
+    t_sum = float(m * Fraction(lz) - m * (m - 1) // 2 * Fraction(h))  # exact before rounding
+    return (-1.0) ** m, math.fsum([t_sum, _lattice_sum("log1mexp", -near[0], h, m), tail])
 
 
 def q_pochhammer_inf(z: float, q) -> float:
-    """Infinite product (z; q)_inf to relative accuracy ~1e-14.
-
-    Factors are dropped once |z| q^i < 1e-17, which a geometric tail bound
-    converts into a relative error below 1e-17/(1-q).
-    """
+    """Infinite product (z; q)_inf, exp of its log from lattice sums."""
     q = as_qbase(q)
     sign, total = _log_pochhammer_inf(float(z), q)
-    if sign == 0.0:
-        return 0.0
     return sign * math.exp(total)
 
 
@@ -362,14 +375,11 @@ def E_q(z: float, q) -> float:
 
 
 def log_qq_factorial(n: int, q) -> float:
-    """ln (q; q)_n = sum_{i=1}^{n} ln(1 - q^i)."""
+    """ln (q; q)_n = sum_{i=1}^{n} ln(1 - q^i), a log1mexp lattice sum."""
     q = as_qbase(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 0.0
-    i = np.arange(1, n + 1)
-    return float(np.sum(np.log1p(-np.exp(i * q.log))))
+    return _lattice_sum("log1mexp", q.log, -q.log, n)
 
 
 def q_binomial(n: int, k: int, q) -> float:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from qbinomial.asymptotics import (
@@ -24,6 +25,17 @@ from qbinomial.distributions import (
 from qbinomial.qcalc import QBase, ScaledReal
 
 Q5 = QBase(0.5)
+
+
+def c_residue_ref(beta: float, q: float, terms: int = 3):
+    """c(beta, q) from its residue series at 30 digits; terms fall like e^(-2 pi^2 k / |ln q|)."""
+    with mp.workdps(30):
+        lq = mp.log(q)
+        return mp.mpf(1) / 2 + mp.fsum(
+            2 * mp.pi * mp.sin(2 * k * mp.pi * beta) / (lq * mp.sinh(2 * k * mp.pi**2 / lq))
+            for k in range(1, terms + 1)
+        )
+
 
 BETA_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 Q_GRID = [0.2, 0.5, 0.8]
@@ -81,6 +93,13 @@ class TestCDirect:
     def test_rejects_beta_outside_unit_interval(self):
         with pytest.raises(ValueError):
             c_direct(1.0, Q5)
+
+    @pytest.mark.parametrize("beta", [0.14932739855783705, 0.5, 0.83])
+    @pytest.mark.parametrize("qv", [0.9, 0.999, 0.9999])
+    def test_near_q_one_against_mpmath(self, beta, qv):
+        # each half of the bilateral series is ~0.7/|ln q|; differencing the
+        # two sums missed 1e-13 at q = 0.999, beta = 0.1493...
+        assert abs(c_direct(beta, QBase(qv)) - c_residue_ref(beta, qv)) < 1e-13
 
 
 class TestCFourier:
@@ -272,6 +291,30 @@ class TestLimitLaw:
         )
         half = limit_law(0.5, Q5)
         assert half.position(0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("qv", [0.2, 0.5, 0.9])
+    def test_window_is_fifty_wide_up_to_q_09(self, qv):
+        t = limit_law(0.3, QBase(qv)).lattice_probs
+        assert (t.offset, len(t)) == (-50, 101)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("qv", [0.99, 0.998, 0.999])
+    def test_near_q_one_against_mpmath(self, beta, qv):
+        # the constant e_q(q) e_q(-q^beta) e_q(-q^(1-beta)) overflows as a
+        # float product at q >= 0.998, and +-50 drops 4e-7 of the mass at 0.99
+        law = limit_law(beta, QBase(qv))
+        t = law.lattice_probs
+        assert math.fsum(t.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+        with mp.workdps(30):
+            if beta < 0.5:
+                expo = lambda x: mp.mpf(x - 1) * (x - 2 * mp.mpf(beta)) / 2
+            else:
+                expo = lambda x: mp.mpf(x) * (1 + x - 2 * mp.mpf(beta)) / 2
+            lq = mp.log(qv)
+            reach = int(math.sqrt(200 / -float(lq))) + 2
+            norm = mp.fsum(mp.exp(expo(x) * lq) for x in range(-reach, reach + 1))
+            for x in (-40, 0, 1, 25, 120):
+                assert t.prob(x) == pytest.approx(float(mp.exp(expo(x) * lq) / norm), rel=1e-11)
 
     def test_sigma_is_sqrt_of_variance_series(self):
         law = limit_law(0.3, Q5)

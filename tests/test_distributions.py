@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,31 @@ class TestHeine:
         assert 0.5 ** (x * (x - 1) / 2) * 0.5**x / qq_inf < 1e-16 or True
         partial = math.fsum(t.probs.tolist())
         assert partial == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("qv", [0.998, 0.999])
+    def test_table_near_q_one(self, qv):
+        # ln (q;q)_inf is about -1645 at q = 0.999, so (q;q)_inf underflows
+        # and (-1; q)_inf overflows: both normalisers must stay in log form
+        d = Heine(1.0, QBase(qv))
+        t = heine_table(d)
+        assert t.captured_mass >= 1 - 1e-12
+        assert math.fsum(t.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
+        assert heine_pmf(d, 3) == pytest.approx(t.prob(3), rel=1e-12)
+        assert heine_mean(d) == pytest.approx(table_moments(t)[0], rel=1e-11)
+
+    @pytest.mark.parametrize("qv", [0.998, 0.999])
+    def test_pmf_near_q_one_against_mpmath(self, qv):
+        theta = 0.5
+        d = Heine(theta, QBase(qv))
+        with mp.workdps(30):
+            lq = mp.log(qv)
+            # Euler: ln(-theta; q)_inf = sum_k (-1)^(k-1) theta^k / (k (1 - q^k)), theta < 1
+            log_norm = mp.fsum((-1) ** (k - 1) * mp.mpf(theta) ** k / (k * -mp.expm1(k * lq))
+                               for k in range(1, 120))
+            for x in (0, 3, 400):
+                log_qq = mp.fsum(mp.log(-mp.expm1(i * lq)) for i in range(1, x + 1))
+                ref = mp.exp(mp.mpf(x) * (x - 1) / 2 * lq + x * mp.log(theta) - log_qq - log_norm)
+                assert heine_pmf(d, x) == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestDiscreteNormal:
