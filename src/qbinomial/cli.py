@@ -32,7 +32,6 @@ from .distributions import (
     Heine,
     KempBinomial,
     kb_moments,
-    kb_sample,
     sample_by_inversion,
 )
 from .metrics import SCENARIOS, convergence_sweep, tabulate
@@ -157,10 +156,7 @@ def _cmd_sample(config: RunConfig) -> str:
     args = config.parameters["_args"]
     law = _dist_from_args(args)
     rng = np.random.default_rng(config.seed)
-    if isinstance(law, KempBinomial):
-        draws = kb_sample(law, rng, size=args.count)
-    else:
-        draws = sample_by_inversion(tabulate(law, 1e-12), rng, size=args.count)
+    draws = sample_by_inversion(tabulate(law, 1e-12), rng, size=args.count)
     rows = [{"index": i, "value": int(v)} for i, v in enumerate(draws)]
     return _emit(config, ["index", "value"], rows)
 
@@ -300,15 +296,21 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+# flags taken before and after the subcommand; a flag left out sets nothing, so
+# one given before the subcommand holds, and main() supplies the defaults
+_FLAGS = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+_FLAGS.add_argument("--format", choices=("csv", "json"), help="default: csv")
+_FLAGS.add_argument("--output", help="output file (default: stdout)")
+_FLAGS.add_argument("--seed", type=int, help="64-bit RNG seed")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbinomial",
         description="Kemp q-binomial distribution toolkit: pmf tables, moments, "
         "sampling, mean asymptotics, limit laws, and convergence sweeps.",
+        parents=[_FLAGS],
     )
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", help="output file (default: stdout)")
-    parser.add_argument("--seed", type=int, help="64-bit RNG seed")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_dist_flags(p):
@@ -319,34 +321,34 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=float, required=True)
         p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("pmf", help="tabulate a pmf")
+    p = sub.add_parser("pmf", help="tabulate a pmf", parents=[_FLAGS])
     add_dist_flags(p)
 
-    p = sub.add_parser("moments", help="mean and variance")
+    p = sub.add_parser("moments", help="mean and variance", parents=[_FLAGS])
     add_dist_flags(p)
 
-    p = sub.add_parser("sample", help="seeded draws")
+    p = sub.add_parser("sample", help="seeded draws", parents=[_FLAGS])
     add_dist_flags(p)
     p.add_argument("--count", type=int, default=1)
 
-    p = sub.add_parser("asym", help="mean expansion vs direct sum")
+    p = sub.add_parser("asym", help="mean expansion vs direct sum", parents=[_FLAGS])
     p.add_argument("--slope", required=True, help="rational p/r")
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--n-list", required=True)
     p.add_argument("--terms", type=int)
 
-    p = sub.add_parser("limit", help="constant-beta limit law lattice")
+    p = sub.add_parser("limit", help="constant-beta limit law lattice", parents=[_FLAGS])
     p.add_argument("--beta", required=True, help="fractional part, float or p/r")
     p.add_argument("--q", type=float, required=True)
 
-    p = sub.add_parser("solve-theta", help="invert the mean map")
+    p = sub.add_parser("solve-theta", help="invert the mean map", parents=[_FLAGS])
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--mu", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
 
-    p = sub.add_parser("converge", help="convergence sweep for one theorem")
+    p = sub.add_parser("converge", help="convergence sweep for one theorem", parents=[_FLAGS])
     p.add_argument("--scenario", choices=SCENARIOS, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--n-list")
@@ -379,9 +381,9 @@ def main(argv=None) -> int:
     config = RunConfig(
         subcommand=args.subcommand,
         parameters=params,
-        output_format=args.format,
-        seed=args.seed,
-        output_path=args.output,
+        output_format=getattr(args, "format", "csv"),
+        seed=getattr(args, "seed", None),
+        output_path=getattr(args, "output", None),
     )
     return run(config)
 

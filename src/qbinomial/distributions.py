@@ -11,6 +11,7 @@ window, its probabilities, and the mass the window captures.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import json
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcalc import QBase, ScaledReal, _lattice_sum, as_qbase, log_qq_factorial, np_sigmoid
+from .qcalc import QBase, ScaledReal, _lattice_sum, as_qbase, log_qq_factorial
 
 __all__ = [
     "Binomial",
@@ -168,7 +169,7 @@ class PMFTable:
             raise ValueError("negative probability entry")
         if not 0.0 < self.captured_mass <= 1.0 + 1e-12:
             raise ValueError(f"captured_mass {self.captured_mass!r} outside (0, 1]")
-        if abs(math.fsum(p.tolist()) - self.captured_mass) > 1e-9:
+        if abs(float(p.sum()) - self.captured_mass) > 1e-9:  # entries >= 0: sum() is exact enough
             raise ValueError("captured_mass inconsistent with table entries")
 
     def __len__(self) -> int:
@@ -229,24 +230,25 @@ def _table_mass(probs: np.ndarray) -> float:
 # Kemp q-binomial
 
 
-def _kb_log_norm(d: KempBinomial) -> float:
-    """ln prod_{i<n} (1 + theta q^i), a softplus lattice sum."""
-    return _lattice_sum("softplus", d.log_theta, -d.q.log, d.n)
+def _kb_logit(d: KempBinomial, x: int) -> float:
+    """t_x = ln(theta q^x) = ln m - (e + x) h, with the integer e + x exact."""
+    return math.log(d.theta.mantissa) + (d.theta.exponent + x) * d.q.log
 
 
 def kb_log_pmf(d: KempBinomial, x: int) -> float:
-    """ln P(X = x); -inf outside the support {0, ..., n}."""
+    """ln P(X = x); -inf outside the support {0, ..., n}.
+
+    ln P = ln [n choose x]_q - sum_{i<x} softplus(-t_i) - sum_{x<=i<n} softplus(t_i),
+    two lattice sums whose terms are small near the mode, so nothing cancels.
+    """
     if x < 0 or x > d.n:
         return -math.inf
     if d.theta.is_zero:
         return 0.0 if x == 0 else -math.inf
-    q = d.q
-    binom = (
-        log_qq_factorial(d.n, q)
-        - log_qq_factorial(x, q)
-        - log_qq_factorial(d.n - x, q)
-    )
-    return binom + x * d.log_theta + 0.5 * x * (x - 1) * q.log - _kb_log_norm(d)
+    n, q, h = d.n, d.q, -d.q.log
+    t = _kb_logit(d, x)
+    binom = log_qq_factorial(n, q) - log_qq_factorial(x, q) - log_qq_factorial(n - x, q)
+    return binom - _lattice_sum("softplus", -t - h, h, x) - _lattice_sum("softplus", t, h, n - x)
 
 
 def kb_pmf(d: KempBinomial, x: int) -> float:
@@ -255,29 +257,34 @@ def kb_pmf(d: KempBinomial, x: int) -> float:
 
 
 def kb_table(d: KempBinomial) -> PMFTable:
-    """Exact full-support table on {0, ..., n}."""
-    n, q = d.n, d.q
+    """Table on the window mode +- K of {0, ..., n}, in O(K + log n).
+
+    l(x) = ln P(x+1)/P(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) falls by h = ln(1/q)
+    or more per step, so P(mode +- k) <= e^(-h k(k-1)/2), which K puts below e^-760,
+    0.0 in binary64. The mode, the first x with l(x) <= 0, is found by bisection;
+    the entries are sums of l outward from it.
+    """
+    n, h = d.n, -d.q.log
     if d.theta.is_zero:
-        probs = np.zeros(n + 1)
-        probs[0] = 1.0
-        return PMFTable(0, probs, 1.0)
-    lqq = np.concatenate(([0.0], np.cumsum(np.log(-np.expm1(np.arange(1, n + 1) * q.log)))))
-    x = np.arange(n + 1)
-    logp = (
-        lqq[n]
-        - lqq[x]
-        - lqq[n - x]
-        + x * d.log_theta
-        + 0.5 * x * (x - 1) * q.log
-        - _kb_log_norm(d)
-    )
+        return PMFTable(0, np.array([1.0]), 1.0)
+
+    def log_ratio(x: int) -> float:
+        return _kb_logit(d, x) + math.log(math.expm1((x - n) * h) / math.expm1(-(x + 1) * h))
+
+    # |l(x) - t_x| <= c = -ln(1 - q), so l > 0 below lo and l < 0 from hi on
+    lm, e, c = math.log(d.theta.mantissa), d.theta.exponent, -math.log1p(-d.q.value)
+    lo = min(n, max(0, math.floor((lm - c) / h) - e - 1))
+    hi = min(n, max(0, math.ceil((lm + c) / h) - e + 1))
+    mode = lo + bisect.bisect_left(range(lo, hi), True, key=lambda x: log_ratio(x) <= 0.0)
+    K = math.ceil(0.5 + math.sqrt(0.25 + 2.0 * 760.0 / h)) + 2
+    lo, hi = max(0, mode - K), min(n, mode + K)
+    x = np.arange(lo, hi)
+    ell = _kb_logit(d, lo) - h * (x - lo) + np.log(np.expm1((x - n) * h) / np.expm1(-(x + 1) * h))
+    i = mode - lo
+    logp = np.concatenate((-np.cumsum(ell[:i][::-1])[::-1], [0.0], np.cumsum(ell[i:])))
     probs = np.exp(logp)
-    return PMFTable(0, probs, _table_mass(probs))
-
-
-def _kb_bernoulli_logits(d: KempBinomial) -> np.ndarray:
-    """log-odds of the n independent Bernoulli components of the KB sum."""
-    return d.log_theta + np.arange(d.n) * d.q.log
+    probs /= probs.sum()
+    return PMFTable(lo, probs, 1.0)
 
 
 def kb_moments(d: KempBinomial) -> MomentPair:
@@ -293,22 +300,11 @@ def kb_moments(d: KempBinomial) -> MomentPair:
 
 
 def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None):
-    """Draw from KB(n, theta, q) as a sum of n independent Bernoulli trials.
+    """Draw from KB(n, theta, q) by inversion of kb_table; deterministic per seed.
 
-    Exact, O(n) per draw, deterministic for a seeded generator. Returns an
-    int for size=None, otherwise an int64 array of that length.
+    Returns an int for size=None, otherwise an int64 array of that length.
     """
-    if d.theta.is_zero or d.n == 0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
-    probs = np_sigmoid(_kb_bernoulli_logits(d))
-    if size is None:
-        return int(np.count_nonzero(rng.random(d.n) < probs))
-    out = np.empty(size, dtype=np.int64)
-    step = max(1, (1 << 21) // max(d.n, 1))
-    for start in range(0, size, step):
-        k = min(step, size - start)
-        out[start : start + k] = (rng.random((k, d.n)) < probs).sum(axis=1)
-    return out
+    return sample_by_inversion(kb_table(d), rng, size)
 
 
 # ---------------------------------------------------------------------------

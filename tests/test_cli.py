@@ -264,6 +264,26 @@ class TestOutputContracts:
         assert out == ""
         assert path.read_text().startswith("x,p\n")
 
+    def test_global_flags_after_subcommand(self, capsys):
+        # the README's own example
+        readme = ["sample", "--dist", "kb", "--n", "20", "--theta", "1.3", "--q", "0.6",
+                  "--count", "1000", "--seed", "42"]
+        code, out, _ = run_cli(capsys, *readme)
+        assert code == 0
+        assert len(csv_rows(out)) == 1000
+        code, before, _ = run_cli(capsys, "--seed", "42", *readme[:-2])
+        assert code == 0 and before == out
+
+    def test_global_flag_before_subcommand_holds(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "--seed", "9", "sample", "--dist", "heine",
+            "--theta", "0.5", "--q", "0.5", "--count", "3", "--output", str(path),
+        )
+        assert code == 0 and out == ""
+        doc = json.loads(path.read_text())
+        assert doc["meta"]["seed"] == 9 and len(doc["data"]) == 3
+
     def test_byte_identical_reruns(self, capsys):
         argv = [
             "--format", "json", "--seed", "5", "converge", "--scenario",

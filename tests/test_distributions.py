@@ -30,7 +30,7 @@ from qbinomial.distributions import (
     reflect,
     sample_by_inversion,
 )
-from qbinomial.qcalc import QBase, ScaledReal, q_pochhammer_inf
+from qbinomial.qcalc import QBase, ScaledReal, np_sigmoid, q_pochhammer_inf
 
 Q5 = QBase(0.5)
 
@@ -40,6 +40,57 @@ def table_moments(t: PMFTable):
     mean = math.fsum((xs * t.probs).tolist())
     var = math.fsum(((xs - mean) ** 2 * t.probs).tolist())
     return mean, var
+
+
+def bernoulli_sample(d: KempBinomial, rng, size: int) -> np.ndarray:
+    """Oracle sampler: KB(n, theta, q) as a sum of n independent Bernoulli trials.
+
+    Trial i succeeds with probability theta q^i / (1 + theta q^i); O(n) per draw.
+    """
+    probs = np_sigmoid(d.log_theta + np.arange(d.n) * d.q.log)
+    out = np.empty(size, dtype=np.int64)
+    step = max(1, (1 << 21) // max(d.n, 1))
+    for start in range(0, size, step):
+        k = min(step, size - start)
+        out[start : start + k] = (rng.random((k, d.n)) < probs).sum(axis=1)
+    return out
+
+
+def window_half_width(q: QBase) -> int:
+    """Least K with ln(1/q) K (K - 1) / 2 >= 760: P(mode +- k) < e^-760 beyond it."""
+    K = 1
+    while -q.log * K * (K - 1) / 2 < 760.0:
+        K += 1
+    return K
+
+
+def kb_log_pmf_mp(d: KempBinomial, xs) -> dict:
+    """ln P(X = x) at 30 digits from the exact binary64 inputs.
+
+    ln P = ln [n choose x]_q - sum_{i<x} softplus(-t_i) - sum_{x<=i<n} softplus(t_i),
+    t_i = ln theta + i ln q. Terms with |t_i| > 300 and factors 1 - q^i with
+    q^i < e^-300 are below 1e-100 in total and are left out.
+    """
+    with mp.workdps(30):
+        lq = mp.log(d.q.value)
+        lt = mp.log(d.theta.mantissa) + d.theta.exponent * lq
+        h = -lq
+        cut = int(mp.ceil(300 / h))
+
+        log_qq = [mp.mpf(0)]  # ln (q; q)_k for k <= cut
+        for i in range(1, cut + 1):
+            log_qq.append(log_qq[-1] + mp.log(-mp.expm1(i * lq)))
+        centre = int(mp.floor(lt / h))
+        lo, hi = max(0, centre - cut), min(d.n, centre + cut)
+        t = [lt + i * lq for i in range(lo, hi)]
+        neg = [mp.log1p(mp.exp(-v)) for v in t]  # softplus(-t_i)
+        pos = [mp.log1p(mp.exp(v)) for v in t]  # softplus(t_i)
+        out = {}
+        for x in xs:
+            j = min(max(x - lo, 0), hi - lo)
+            binom = log_qq[min(d.n, cut)] - log_qq[min(x, cut)] - log_qq[min(d.n - x, cut)]
+            out[x] = binom - mp.fsum(neg[:j]) - mp.fsum(pos[j:])
+        return out
 
 
 class TestKempBinomialPMF:
@@ -153,6 +204,50 @@ class TestKempBinomialSampler:
         draws = kb_sample(d, np.random.default_rng(20260810), size=1_000_000)
         band = 4.0 * math.sqrt(m.variance) / 1000.0
         assert abs(draws.mean() - m.mean) < band
+
+
+class TestWindowedTable:
+    """kb_table keeps only mode +- K, where K is the window_half_width of q."""
+
+    @staticmethod
+    def exponential_regime(n, q):
+        return KempBinomial(n, ScaledReal.from_q_power(-(0.37 * n + 0.3), q), q)
+
+    def test_million_trials_against_mpmath(self):
+        d = self.exponential_regime(10**6, Q5)
+        t = kb_table(d)
+        mode = t.offset + int(np.argmax(t.probs))
+        xs = range(mode - 20, mode + 21)
+        ref = kb_log_pmf_mp(d, xs)
+        for x in xs:
+            want = mp.exp(ref[x])
+            assert abs(kb_pmf(d, x) / want - 1) < 1e-12, x
+            assert abs(t.prob(x) / want - 1) < 1e-12, x
+
+    def test_million_trials_window_size_and_pointwise(self):
+        d = self.exponential_regime(10**6, Q5)
+        t = kb_table(d)
+        assert len(t) <= 2 * window_half_width(Q5) + 5
+        assert 0 < t.offset and t.last < d.n
+        assert t.captured_mass == pytest.approx(1.0, abs=1e-15)
+        for x, p in zip(t.x_values(), t.probs):
+            want = kb_pmf(d, int(x))
+            if want > 1e-300:
+                assert p == pytest.approx(want, rel=1e-12), x
+
+    @pytest.mark.parametrize("n, qv, count", [(5000, 0.5, 4000), (10**5, 0.999, 500)])
+    def test_sampler_against_bernoulli_oracle(self, n, qv, count):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        q = QBase(qv)
+        d = self.exponential_regime(n, q)
+        t = kb_table(d)
+        assert t.offset > 0 and t.last < n  # the window is narrower than the support
+        oracle = bernoulli_sample(d, np.random.default_rng(11), count)
+        draws = kb_sample(d, np.random.default_rng(12), size=20_000)
+        assert scipy_stats.ks_2samp(oracle, draws).pvalue > 1e-3
+        m = kb_moments(d)
+        for sample in (oracle, draws):
+            assert abs(sample.mean() - m.mean) < 5.0 * math.sqrt(m.variance / sample.size)
 
 
 class TestHeine:

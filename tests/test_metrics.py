@@ -64,6 +64,11 @@ class TestDistances:
         assert tv_distance(point_mass(0), point_mass(1)) == 1.0
         assert kolmogorov_distance(point_mass(0), point_mass(1)) == 1.0
 
+    def test_tv_stays_within_unit_interval(self):
+        # entries may sum to 1 + 1e-12 within PMFTable's consistency tolerance
+        a = PMFTable(0, np.array([0.5, 0.5 + 1e-12]), 1.0)
+        assert tv_distance(a, point_mass(5)) == 1.0
+
     def test_bernoulli_gap(self):
         a = tabulate(Binomial(1, 0.5))
         b = tabulate(Binomial(1, 0.25))
@@ -154,6 +159,12 @@ class TestSweeps:
         assert all(r.auxiliary["exact_identity_gap"] < 1e-12 for r in rep.rows)
         tail = [r.distance for r in rep.rows[len(rep.rows) // 2 :]]
         assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
+
+    def test_exponential_reflection_tied_mode(self):
+        # theta = 1, q = 0.5: P(0) = P(1), so the mode is a tie, and the reflected
+        # and the direct windowed tables end one entry apart
+        rep = convergence_sweep("exponential-reflection", {"q": Q5, "theta": 1.0}, [1517])
+        assert rep.rows[0].auxiliary["exact_identity_gap"] < 1e-12
 
     def test_degenerate(self):
         rep = convergence_sweep(
