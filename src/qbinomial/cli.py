@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -223,11 +224,9 @@ def _cmd_solve_theta(config: RunConfig) -> str:
         theta = theta_for_poisson(args.n, q, args.lam)
         rows = [{"theta": theta, "residual": 0.0, "iterations": 0}]
     elif args.n is not None:
-        sol = theta_for_mean(args.n, q, args.mu)
-        rows = [{"theta": sol.theta, "residual": sol.residual, "iterations": sol.iterations}]
+        rows = [asdict(theta_for_mean(args.n, q, args.mu))]
     else:
-        sol = theta_limit_for_mean(q, args.mu)
-        rows = [{"theta": sol.theta, "residual": sol.residual, "iterations": sol.iterations}]
+        rows = [asdict(theta_limit_for_mean(q, args.mu))]
     return _emit(config, ["theta", "residual", "iterations"], rows)
 
 
@@ -296,20 +295,19 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-# flags taken before and after the subcommand; a flag left out sets nothing, so
-# one given before the subcommand holds, and main() supplies the defaults
-_FLAGS = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-_FLAGS.add_argument("--format", choices=("csv", "json"), help="default: csv")
-_FLAGS.add_argument("--output", help="output file (default: stdout)")
-_FLAGS.add_argument("--seed", type=int, help="64-bit RNG seed")
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # flags taken before and after the subcommand; a flag left out sets nothing,
+    # so one given before the subcommand holds, and main() supplies the defaults
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--format", choices=("csv", "json"), help="default: csv")
+    flags.add_argument("--output", help="output file (default: stdout)")
+    flags.add_argument("--seed", type=int, help="64-bit RNG seed")
     parser = argparse.ArgumentParser(
         prog="qbinomial",
         description="Kemp q-binomial distribution toolkit: pmf tables, moments, "
         "sampling, mean asymptotics, limit laws, and convergence sweeps.",
-        parents=[_FLAGS],
+        parents=[flags],
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -321,34 +319,34 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=float, required=True)
         p.add_argument("--tol", type=float, default=1e-12)
 
-    p = sub.add_parser("pmf", help="tabulate a pmf", parents=[_FLAGS])
+    p = sub.add_parser("pmf", help="tabulate a pmf", parents=[flags])
     add_dist_flags(p)
 
-    p = sub.add_parser("moments", help="mean and variance", parents=[_FLAGS])
+    p = sub.add_parser("moments", help="mean and variance", parents=[flags])
     add_dist_flags(p)
 
-    p = sub.add_parser("sample", help="seeded draws", parents=[_FLAGS])
+    p = sub.add_parser("sample", help="seeded draws", parents=[flags])
     add_dist_flags(p)
     p.add_argument("--count", type=int, default=1)
 
-    p = sub.add_parser("asym", help="mean expansion vs direct sum", parents=[_FLAGS])
+    p = sub.add_parser("asym", help="mean expansion vs direct sum", parents=[flags])
     p.add_argument("--slope", required=True, help="rational p/r")
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--n-list", required=True)
     p.add_argument("--terms", type=int)
 
-    p = sub.add_parser("limit", help="constant-beta limit law lattice", parents=[_FLAGS])
+    p = sub.add_parser("limit", help="constant-beta limit law lattice", parents=[flags])
     p.add_argument("--beta", required=True, help="fractional part, float or p/r")
     p.add_argument("--q", type=float, required=True)
 
-    p = sub.add_parser("solve-theta", help="invert the mean map", parents=[_FLAGS])
+    p = sub.add_parser("solve-theta", help="invert the mean map", parents=[flags])
     p.add_argument("--n", type=int)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--mu", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
 
-    p = sub.add_parser("converge", help="convergence sweep for one theorem", parents=[_FLAGS])
+    p = sub.add_parser("converge", help="convergence sweep for one theorem", parents=[flags])
     p.add_argument("--scenario", choices=SCENARIOS, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--n-list")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qbinomial.cli import main, parse_n_list, parse_theta
+from qbinomial.cli import _build_parser, main, parse_n_list, parse_theta
 from qbinomial.qcalc import QBase
 
 
@@ -179,6 +179,19 @@ class TestSolveThetaCommand:
         assert code == 0
         assert float(csv_rows(out)[0]["theta"]) == 1.0
 
+    def test_large_n(self, capsys):
+        code, out, _ = run_cli(capsys, "solve-theta", "--n", "1500", "--q", "0.5", "--mu", "3")
+        assert code == 0
+        assert float(csv_rows(out)[0]["theta"]) == pytest.approx(4.96206219648585, rel=1e-13)
+
+    def test_overflowing_theta_exits_1(self, capsys):
+        # the root theta = 2^49999.5 has no binary64 value
+        code, out, err = run_cli(
+            capsys, "solve-theta", "--n", "100000", "--q", "0.5", "--mu", "50000"
+        )
+        assert code == 1 and out == ""
+        assert "numeric failure" in err
+
     def test_requires_exactly_one_target(self, capsys):
         code, _, err = run_cli(capsys, "solve-theta", "--q", "0.5")
         assert code == 2
@@ -283,6 +296,19 @@ class TestOutputContracts:
         assert code == 0 and out == ""
         doc = json.loads(path.read_text())
         assert doc["meta"]["seed"] == 9 and len(doc["data"]) == 3
+
+    def test_repeated_calls_share_no_flags(self, capsys):
+        # the parser is built once; flags of one call must not reach the next
+        sample = ["sample", "--dist", "kb", "--n", "5", "--theta", "1", "--q", "0.5", "--count", "3"]
+        code, out, _ = run_cli(capsys, "--format", "json", "--seed", "7", *sample)
+        assert code == 0 and json.loads(out)["meta"]["seed"] == 7
+        code, out, _ = run_cli(capsys, *sample)
+        assert code == 0 and out.startswith("index,value\n")
+        args = vars(_build_parser().parse_args(sample))
+        assert "seed" not in args and "format" not in args
+        assert run_cli(capsys, *sample, "--count", "x")[0] == 2
+        code, out, _ = run_cli(capsys, *sample)
+        assert code == 0 and len(csv_rows(out)) == 3
 
     def test_byte_identical_reruns(self, capsys):
         argv = [

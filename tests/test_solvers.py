@@ -1,17 +1,47 @@
 import math
 
+import mpmath as mp
 import pytest
 
+from qbinomial import solvers
 from qbinomial.distributions import Heine, KempBinomial, heine_mean, kb_moments
 from qbinomial.qcalc import QBase, q_number
 from qbinomial.solvers import (
+    RESIDUAL_TARGET,
     BracketError,
+    ConvergenceError,
     theta_for_mean,
     theta_for_poisson,
     theta_limit_for_mean,
 )
 
 Q5 = QBase(0.5)
+
+
+def mp_mean(theta: float, q: float, n) -> mp.mpf:
+    """sum_{i<n} sigmoid(ln theta - i h), h = -ln q, at 40 digits from the exact floats.
+
+    Terms with |t| < 1 are added directly. Below, sigmoid(t) = sum_k (-1)^(k-1)
+    e^(kt), each term summed over the block as a geometric series in i; above,
+    sigmoid(t) = 1 - sigmoid(-t) mirrors the block. n may be math.inf.
+    """
+    with mp.workdps(40):
+        a, h = mp.log(mp.mpf(theta)), -mp.log(mp.mpf(q))
+
+        def series(s, count):  # sum_{j<count} sigmoid(s - j h), s <= -1
+            total, k = mp.mpf(0), 1
+            while True:
+                term = mp.exp(k * s) / -mp.expm1(-k * h)
+                total += (-1) ** (k - 1) * term * (1 if count == math.inf else -mp.expm1(-k * h * count))
+                if term < mp.mpf(10) ** -45:
+                    return total
+                k += 1
+
+        iu = 0 if a < 1 else min(n, int(mp.floor((a - 1) / h)) + 1)  # t >= 1 for i < iu
+        il = max(iu, min(n, int(mp.ceil((a + 1) / h))))  # t <= -1 for i >= il
+        total = iu - series((iu - 1) * h - a, iu) if iu else mp.mpf(0)
+        total += mp.fsum(1 / (1 + mp.exp(i * h - a)) for i in range(iu, il))
+        return total + (series(a - il * h, n - il) if il < n else 0)
 
 
 class TestThetaForPoisson:
@@ -61,6 +91,21 @@ class TestThetaForMean:
     def test_bracket_error(self):
         with pytest.raises(BracketError):
             theta_for_mean(3, Q5, 2.0)
+
+    def test_large_n(self):
+        # linear bisection over [0, q^-(n-1)] would need n log2(1/q) + 60 = 1560 steps
+        sol = theta_for_mean(1500, Q5, 3.0)
+        assert sol.theta == pytest.approx(4.96206219648585, rel=1e-13)
+        assert sol.residual <= RESIDUAL_TARGET and sol.iterations <= 20
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceError):
+            theta_for_mean(20, Q5, 1.0)
+
+    def test_overflowing_root_raises(self):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            theta_for_mean(100_000, Q5, 50_000.0)  # theta = 2^49999.5
 
     def test_determinism(self):
         a = theta_for_mean(37, QBase(0.35), 2.5)
@@ -119,3 +164,28 @@ class TestMonotonicityProperties:
             assert theta_n >= limit - 1e-12
             prev = theta_n
         assert theta_for_mean(200, Q5, 1.0).theta == pytest.approx(limit, abs=1e-8)
+
+
+def _grid():
+    for qv in (1e-8, 0.2, 0.5, 0.999, 0.9999):
+        for n in (2, 7, 50, 1500, 10**6):
+            for mu in sorted({1e-9, 1.0, 3.0, n / 4, n / 2}):
+                if n >= 2 * mu:
+                    yield pytest.param(qv, n, mu, id=f"q={qv}-n={n}-mu={mu:g}")
+    for qv in (0.5, 0.9999):
+        for mu in (1e-9, 1.0, 2.7, 50.0):
+            yield pytest.param(qv, math.inf, mu, id=f"q={qv}-heine-mu={mu:g}")
+
+
+@pytest.mark.parametrize("qv,n,mu", _grid())
+def test_solution_verified_against_mpmath_or_raises(qv, n, mu):
+    """A returned theta meets RESIDUAL_TARGET at 40 digits; only an overflowing
+    root (ln theta > 700) or a mean whose float spacing nears 1e-12 may raise."""
+    try:
+        sol = theta_for_mean(n, qv, mu) if n < math.inf else theta_limit_for_mean(qv, mu)
+    except ConvergenceError:
+        assert mu * -math.log(qv) > 700 or mu >= 1e4
+        return
+    assert sol.iterations <= 100
+    assert sol.residual <= RESIDUAL_TARGET
+    assert abs(mp_mean(sol.theta, qv, n) - mu) <= RESIDUAL_TARGET
