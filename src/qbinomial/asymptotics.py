@@ -269,13 +269,14 @@ def limit_law(beta, q) -> LimitLaw:
         delta = 1
     probs = np.exp(log_c + expo * q.log)
     table = PMFTable(int(xs[0]), probs, min(math.fsum(probs.tolist()), 1.0))
-    if floor_case(b, q) != delta:
-        raise ConsistencyError(f"delta mismatch at beta={b}")
+    c = c_direct(b, q)
+    if math.floor(c + b + 1e-9) != delta:  # floor_case's check, on the c computed once here
+        raise ConsistencyError(f"floor(c + beta) != {delta} at beta={b}, q={q}")
     return LimitLaw(
         beta=b,
         q=q,
         sigma=math.sqrt(sigma_limit(b, q)),
         delta=delta,
-        c_value=c_direct(b, q),
+        c_value=c,
         lattice_probs=table,
     )

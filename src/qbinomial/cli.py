@@ -15,7 +15,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -39,22 +39,11 @@ from .metrics import SCENARIOS, convergence_sweep, tabulate
 from .qcalc import QBase, ScaledReal
 from .solvers import theta_for_mean, theta_for_poisson, theta_limit_for_mean
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main"]
 
 _THETA_LITERAL = re.compile(
     r"^\s*([0-9.eE+-]+)\s*\*\s*q\^\(?(-?[0-9.]+)\)?\s*$"
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated CLI invocation."""
-
-    subcommand: str
-    parameters: dict
-    output_format: str = "csv"
-    seed: int | None = None
-    output_path: str | None = None
 
 
 def parse_theta(text: str, q: QBase) -> ScaledReal:
@@ -90,15 +79,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit(config: RunConfig, columns: list[str], rows: list[dict]) -> str:
-    if config.output_format == "json":
+def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> str:
+    """The one serializer: CSV with a header row, or JSON {meta, data}."""
+    if getattr(args, "format", "csv") == "json":
+        skip = {"subcommand", "format", "output", "seed"}
         doc = {
             "meta": {
-                "subcommand": config.subcommand,
-                "params": {
-                    k: v for k, v in config.parameters.items() if not k.startswith("_")
-                },
-                "seed": config.seed,
+                "subcommand": args.subcommand,
+                "params": {k: v for k, v in vars(args).items() if k not in skip and v is not None},
+                "seed": getattr(args, "seed", None),
             },
             "data": rows,
         }
@@ -132,15 +121,13 @@ def _dist_from_args(args) -> object:
     raise ValueError(f"unknown distribution {args.dist!r}")
 
 
-def _cmd_pmf(config: RunConfig) -> str:
-    args = config.parameters["_args"]
+def _cmd_pmf(args) -> tuple:
     table = tabulate(_dist_from_args(args), args.tol)
     rows = [{"x": int(x), "p": float(p)} for x, p in zip(table.x_values(), table.probs)]
-    return _emit(config, ["x", "p"], rows)
+    return ["x", "p"], rows
 
 
-def _cmd_moments(config: RunConfig) -> str:
-    args = config.parameters["_args"]
+def _cmd_moments(args) -> tuple:
     law = _dist_from_args(args)
     if isinstance(law, KempBinomial):
         m = kb_moments(law)
@@ -150,20 +137,18 @@ def _cmd_moments(config: RunConfig) -> str:
         xs = t.x_values().astype(float)
         mean = float(np.dot(xs, t.probs))
         var = float(np.dot((xs - mean) ** 2, t.probs))
-    return _emit(config, ["mean", "variance"], [{"mean": mean, "variance": var}])
+    return ["mean", "variance"], [{"mean": mean, "variance": var}]
 
 
-def _cmd_sample(config: RunConfig) -> str:
-    args = config.parameters["_args"]
+def _cmd_sample(args) -> tuple:
     law = _dist_from_args(args)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(getattr(args, "seed", None))
     draws = sample_by_inversion(tabulate(law, 1e-12), rng, size=args.count)
     rows = [{"index": i, "value": int(v)} for i, v in enumerate(draws)]
-    return _emit(config, ["index", "value"], rows)
+    return ["index", "value"], rows
 
 
-def _cmd_asym(config: RunConfig) -> str:
-    args = config.parameters["_args"]
+def _cmd_asym(args) -> tuple:
     q = QBase(args.q)
     drift = FractionalDrift(Fraction(args.slope), args.offset)
     terms = args.terms or default_fourier_terms(q)
@@ -186,15 +171,11 @@ def _cmd_asym(config: RunConfig) -> str:
                 "terms": r.terms_used,
             }
         )
-    return _emit(
-        config,
-        ["n", "f", "beta", "c", "estimate", "mu_direct", "abs_error", "error_bound", "terms"],
-        rows,
-    )
+    columns = ["n", "f", "beta", "c", "estimate", "mu_direct", "abs_error", "error_bound", "terms"]
+    return columns, rows
 
 
-def _cmd_limit(config: RunConfig) -> str:
-    args = config.parameters["_args"]
+def _cmd_limit(args) -> tuple:
     q = QBase(args.q)
     beta = float(Fraction(args.beta)) if "/" in args.beta else float(args.beta)
     law = limit_law(beta, q)
@@ -210,11 +191,10 @@ def _cmd_limit(config: RunConfig) -> str:
         }
         for x, p in zip(t.x_values(), t.probs)
     ]
-    return _emit(config, ["x", "p", "alpha", "sigma", "delta"], rows)
+    return ["x", "p", "alpha", "sigma", "delta"], rows
 
 
-def _cmd_solve_theta(config: RunConfig) -> str:
-    args = config.parameters["_args"]
+def _cmd_solve_theta(args) -> tuple:
     q = QBase(args.q)
     if (args.mu is None) == (args.lam is None):
         raise ValueError("give exactly one of --mu / --lambda")
@@ -227,11 +207,10 @@ def _cmd_solve_theta(config: RunConfig) -> str:
         rows = [asdict(theta_for_mean(args.n, q, args.mu))]
     else:
         rows = [asdict(theta_limit_for_mean(q, args.mu))]
-    return _emit(config, ["theta", "residual", "iterations"], rows)
+    return ["theta", "residual", "iterations"], rows
 
 
-def _cmd_converge(config: RunConfig) -> str:
-    args = config.parameters["_args"]
+def _cmd_converge(args) -> tuple:
     params: dict = {"q": QBase(args.q)}
     if args.threshold is not None:
         params["threshold"] = args.threshold
@@ -263,7 +242,7 @@ def _cmd_converge(config: RunConfig) -> str:
         }
         for r in report.rows
     ]
-    return _emit(config, ["n", "distance", *keys, "threshold", "verdict"], rows)
+    return ["n", "distance", *keys, "threshold", "verdict"], rows
 
 
 _COMMANDS = {
@@ -277,28 +256,10 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit status."""
-    try:
-        document = _COMMANDS[config.subcommand](config)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConsistencyError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 1
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(document)
-    else:
-        sys.stdout.write(document)
-    return 0
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # flags taken before and after the subcommand; a flag left out sets nothing,
-    # so one given before the subcommand holds, and main() supplies the defaults
+    # so one given before the subcommand holds, and its readers supply the defaults
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--format", choices=("csv", "json"), help="default: csv")
     flags.add_argument("--output", help="output file (default: stdout)")
@@ -362,28 +323,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _public_params(args: argparse.Namespace) -> dict:
-    skip = {"subcommand", "format", "output", "seed"}
-    return {
-        k: v for k, v in vars(args).items() if k not in skip and v is not None
-    }
-
-
 def main(argv=None) -> int:
+    """Parse, run one subcommand, write its document; returns the exit status."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
-    params = _public_params(args)
-    params["_args"] = args
-    config = RunConfig(
-        subcommand=args.subcommand,
-        parameters=params,
-        output_format=getattr(args, "format", "csv"),
-        seed=getattr(args, "seed", None),
-        output_path=getattr(args, "output", None),
-    )
-    return run(config)
+    try:
+        document = _emit(args, *_COMMANDS[args.subcommand](args))
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ConsistencyError, ArithmeticError) as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 1
+    output = getattr(args, "output", None)
+    if output:
+        with open(output, "w", newline="") as fh:
+            fh.write(document)
+    else:
+        sys.stdout.write(document)
+    return 0
 
 
 if __name__ == "__main__":

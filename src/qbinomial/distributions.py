@@ -12,9 +12,6 @@ window, its probabilities, and the mass the window captures.
 from __future__ import annotations
 
 import bisect
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -102,8 +99,8 @@ class Heine:
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_qbase(self.q))
-        if not self.theta >= 0.0:
-            raise ValueError(f"theta must be nonnegative, got {self.theta!r}")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and nonnegative, got {self.theta!r}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,8 @@ class DiscreteNormal:
 
     def __post_init__(self):
         object.__setattr__(self, "q", as_qbase(self.q))
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
+        if not abs(self.alpha) < 2.0**52:  # keeps round(alpha) - alpha exact
+            raise ValueError(f"alpha must satisfy |alpha| < 2**52, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -191,35 +188,6 @@ class PMFTable:
     def shifted(self, k: int) -> "PMFTable":
         """Table of X - k."""
         return PMFTable(self.offset - k, self.probs, self.captured_mass)
-
-    def to_csv(self) -> str:
-        lines = ["x,p"]
-        for x, p in zip(self.x_values(), self.probs):
-            lines.append(f"{x},{p:.17g}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PMFTable":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        xs = [int(r["x"]) for r in rows]
-        ps = [float(r["p"]) for r in rows]
-        if xs != list(range(xs[0], xs[0] + len(xs))):
-            raise ValueError("CSV lattice is not contiguous")
-        return cls(xs[0], np.array(ps), min(math.fsum(ps), 1.0))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "offset": self.offset,
-                "probs": self.probs.tolist(),
-                "captured_mass": self.captured_mass,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PMFTable":
-        d = json.loads(text)
-        return cls(int(d["offset"]), np.array(d["probs"], dtype=float), float(d["captured_mass"]))
 
 
 def _table_mass(probs: np.ndarray) -> float:
@@ -371,37 +339,37 @@ def heine_table(d: Heine, tol: float = 1e-12) -> PMFTable:
 # discrete normal
 
 
-def _dnorm_half_width(alpha: float, q: QBase, log_tail: float) -> int:
-    """Smallest K with q^(K^2/2 - |alpha| K) below exp(log_tail)."""
-    need = -log_tail / -q.log  # require K^2/2 - |alpha| K > need
-    a = abs(alpha)
-    return int(math.ceil(a + math.sqrt(a * a + 2.0 * need))) + 1
+def _dnorm_log_weights(d: DiscreteNormal, k):
+    """ln q^((x - alpha)^2/2) at x = round(alpha) + k: ln q^(x^2/2 - x alpha) less a constant."""
+    u = k + (round(d.alpha) - d.alpha)  # round(alpha) - alpha is exact: no cancellation
+    return 0.5 * u * u * d.q.log
+
+
+def _dnorm_window(q: QBase, eps: float) -> np.ndarray:
+    """k = -K..K, so that the weights at |k| > K sum to under eps times the largest one.
+
+    There |u| >= |k| - 1/2, so those weights sum to under 2 q^((K+1/2)^2/2) / (1 - q);
+    the largest weight, at k = 0, is at least q^(1/8).
+    """
+    K = math.ceil(math.sqrt(2.0 * math.log(2.0 / ((1.0 - q.value) * eps)) / -q.log))
+    return np.arange(-K, K + 1)
 
 
 def _dnorm_log_norm(d: DiscreteNormal) -> float:
-    """ln sum_k q^(k^2/2 - k alpha), k over a certified window."""
-    K = _dnorm_half_width(d.alpha, d.q, math.log(1e-18))
-    k = np.arange(-K, K + 1)
-    ex = (0.5 * k * k - k * d.alpha) * d.q.log
-    m = float(np.max(ex))
-    return m + math.log(float(np.sum(np.exp(ex - m))))
+    """ln of the sum of the centred weights, to a relative 1e-18."""
+    return math.log(math.fsum(np.exp(_dnorm_log_weights(d, _dnorm_window(d.q, 1e-18))).tolist()))
 
 
 def dnorm_pmf(d: DiscreteNormal, x: int) -> float:
     """P(X = x) on the integer lattice."""
-    return math.exp((0.5 * x * x - x * d.alpha) * d.q.log - _dnorm_log_norm(d))
+    return math.exp(_dnorm_log_weights(d, x - round(d.alpha)) - _dnorm_log_norm(d))
 
 
 def dnorm_table(d: DiscreteNormal, tol: float = 1e-12) -> PMFTable:
-    """Window centered near alpha capturing mass >= 1 - tol."""
-    K = _dnorm_half_width(
-        d.alpha, d.q, math.log(min(tol, 1e-12)) + math.log(1.0 - d.q.value) - math.log(4.0)
-    )
-    center = round(d.alpha)
-    xs = np.arange(center - K, center + K + 1)
-    logz = _dnorm_log_norm(d)
-    probs = np.exp((0.5 * xs * xs - xs * d.alpha) * d.q.log - logz)
-    return PMFTable(int(xs[0]), probs, _table_mass(probs))
+    """Window round(alpha) +- K capturing mass >= 1 - min(tol, 1e-12); K depends on q alone."""
+    k = _dnorm_window(d.q, min(tol, 1e-12))
+    probs = np.exp(_dnorm_log_weights(d, k) - _dnorm_log_norm(d))
+    return PMFTable(round(d.alpha) + int(k[0]), probs, _table_mass(probs))
 
 
 # ---------------------------------------------------------------------------

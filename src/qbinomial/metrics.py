@@ -8,9 +8,6 @@ each limit theorem into a per-n distance table with a pass/fail verdict.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,35 +78,6 @@ class SweepReport:
                 if k not in keys:
                     keys.append(k)
         return keys
-
-    def to_csv(self) -> str:
-        keys = self.aux_keys()
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "distance", *keys, "threshold", "verdict"])
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.n,
-                    f"{row.distance:.17g}",
-                    *(f"{row.auxiliary[k]:.17g}" for k in keys),
-                    f"{self.threshold:.17g}",
-                    self.verdict,
-                ]
-            )
-        return out.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "scenario": self.scenario,
-                "threshold": self.threshold,
-                "verdict": self.verdict,
-                "rows": [
-                    {"n": r.n, "distance": r.distance, **r.auxiliary} for r in self.rows
-                ],
-            }
-        )
 
 
 def tabulate(law, tol: float = 1e-12) -> PMFTable:

@@ -250,12 +250,22 @@ class TestConvergeCommand:
 
 class TestOutputContracts:
     def test_csv_json_value_agreement(self, capsys):
-        base = ["pmf", "--dist", "kb", "--n", "6", "--theta", "1.7", "--q", "0.45"]
-        _, out_csv, _ = run_cli(capsys, *base)
-        _, out_json, _ = run_cli(capsys, "--format", "json", *base)
-        doc = json.loads(out_json)
-        for row, jrow in zip(csv_rows(out_csv), doc["data"]):
-            assert float(row["p"]) == jrow["p"]
+        pmf = ["pmf", "--dist", "kb", "--n", "6", "--theta", "1.7", "--q", "0.45"]
+        converge = ["converge", "--scenario", "poisson-coupling", "--q", "0.5",
+                    "--lambda", "2", "--n-list", "10,20,30"]
+        for base in (pmf, converge):
+            _, out_csv, _ = run_cli(capsys, *base)
+            _, out_json, _ = run_cli(capsys, "--format", "json", *base)
+            rows, data = csv_rows(out_csv), json.loads(out_json)["data"]
+            assert len(rows) == len(data) > 0
+            if base is converge:
+                header = out_csv.splitlines()[0].split(",")
+                assert header[:2] == ["n", "distance"]
+                assert header[-2:] == ["threshold", "verdict"]
+            for row, jrow in zip(rows, data):
+                assert row.keys() == jrow.keys()
+                for k, v in row.items():
+                    assert v == jrow[k] if k == "verdict" else float(v) == jrow[k]
 
     def test_json_meta(self, capsys):
         _, out, _ = run_cli(
@@ -344,6 +354,21 @@ class TestExitCodes:
             capsys, "pmf", "--dist", "kb", "--n", "2", "--theta", "-1", "--q", "0.5"
         )
         assert code == 2
+
+    def test_infinite_heine_theta(self, capsys):
+        code, out, err = run_cli(
+            capsys, "pmf", "--dist", "heine", "--theta", "inf", "--q", "0.5"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: theta")
+
+    def test_huge_dnorm_alpha(self, capsys):
+        # |alpha| >= 2**52 has no fractional part left to centre the lattice on
+        code, out, err = run_cli(
+            capsys, "pmf", "--dist", "dnorm", "--alpha", "1e200", "--q", "0.5"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: alpha")
 
 
 def test_console_entry_point_runs():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import mpmath as mp
@@ -348,6 +347,27 @@ class TestDiscreteNormal:
         assert np.allclose(t.probs, t.probs[::-1], rtol=0, atol=0)
         assert t.captured_mass >= 1 - 1e-12
 
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.95])
+    @pytest.mark.parametrize("alpha", [1000.7, 10000.3])
+    def test_large_alpha_against_mpmath(self, alpha, qv):
+        # x^2/2 - x alpha cancels at large alpha; the weights are built from (x - alpha)^2/2
+        d = DiscreteNormal(alpha, QBase(qv))
+        t = dnorm_table(d)
+        c = round(alpha)
+        with mp.workdps(40):
+            lq = mp.log(qv)
+            reach = int(math.sqrt(2 * 140 / -math.log(qv))) + 2
+            w = {
+                x: mp.exp((x - mp.mpf(alpha)) ** 2 / 2 * lq)
+                for x in range(c - reach, c + reach + 1)
+            }
+            z = mp.fsum(w.values())
+        assert t.offset < c < t.last
+        assert t.captured_mass >= 1 - 1e-12
+        for x, p in zip(t.x_values(), t.probs):
+            assert p == pytest.approx(float(w[int(x)] / z), rel=5e-14)
+        assert dnorm_pmf(d, c + 1) == pytest.approx(float(w[c + 1] / z), rel=5e-14)
+
 
 class TestReferenceLaws:
     def test_bernoulli(self):
@@ -444,31 +464,6 @@ class TestSamplerGoodnessOfFit:
         exp *= obs.sum() / exp.sum()
         result = scipy_stats.chisquare(obs, exp)
         assert result.pvalue > 1e-3
-
-
-class TestPMFTableSerialization:
-    def test_csv_round_trip_bit_exact(self):
-        t = kb_table(KempBinomial(12, 1.7, QBase(0.6)))
-        again = PMFTable.from_csv(t.to_csv())
-        assert again.offset == t.offset
-        assert np.array_equal(again.probs, t.probs)
-
-    def test_json_round_trip_bit_exact(self):
-        t = heine_table(Heine(0.8, Q5))
-        again = PMFTable.from_json(t.to_json())
-        assert again.offset == t.offset
-        assert np.array_equal(again.probs, t.probs)
-        assert again.captured_mass == t.captured_mass
-
-    def test_csv_shape(self):
-        text = kb_table(KempBinomial(2, 1.0, Q5)).to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "x,p"
-        assert len(lines) == 4
-
-    def test_json_fields(self):
-        d = json.loads(kb_table(KempBinomial(2, 1.0, Q5)).to_json())
-        assert set(d) == {"offset", "probs", "captured_mass"}
 
 
 class TestValidation:

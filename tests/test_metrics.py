@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -212,29 +211,3 @@ class TestSweeps:
     def test_missing_parameters(self):
         with pytest.raises(ValueError):
             convergence_sweep("poisson-coupling", {"q": Q5}, [10, 20])
-
-
-class TestSweepReportSerialization:
-    @pytest.fixture()
-    def report(self):
-        return convergence_sweep(
-            "poisson-coupling", {"q": Q5, "lam": 2.0}, [10, 20, 30]
-        )
-
-    def test_csv_layout(self, report):
-        lines = report.to_csv().splitlines()
-        assert lines[0].split(",")[:2] == ["n", "distance"]
-        assert lines[0].split(",")[-2:] == ["threshold", "verdict"]
-        assert len(lines) == 4
-
-    def test_json_fields(self, report):
-        doc = json.loads(report.to_json())
-        assert doc["scenario"] == "poisson-coupling"
-        assert doc["verdict"] in ("pass", "fail")
-        assert len(doc["rows"]) == 3
-
-    def test_csv_json_numeric_agreement(self, report):
-        doc = json.loads(report.to_json())
-        lines = report.to_csv().splitlines()
-        for row, line in zip(doc["rows"], lines[1:]):
-            assert float(line.split(",")[1]) == row["distance"]
