@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import PMFTable
+from .distributions import DiscreteNormal, PMFTable, dnorm_table
 from .qcalc import QBase, _lattice_sum, as_qbase, np_sigmoid
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
     "mean_expansion",
     "sigma_limit",
 ]
-
-# Least half-width of the limit-law window; limit_law widens it as q -> 1.
-LATTICE_HALF_WIDTH = 50
-_LATTICE_TAIL_MASS = 1e-15
 
 
 class DriftRangeError(ValueError):
@@ -243,32 +239,14 @@ def floor_case(beta, q) -> int:
 def limit_law(beta, q) -> LimitLaw:
     """Constant-beta limit law of the standardized KB sequence.
 
-    Lattice probabilities, with C = e_q(q) e_q(-q^beta) e_q(-q^(1-beta)) in log form:
-    beta < 1/2:   C q^((x-1)(x-2 beta)/2)
-    beta >= 1/2:  C q^(x(1+x-2 beta)/2)
-    These coincide with discrete normals at alpha = dnorm_alpha(beta). Both
-    exponents are >= (|x|-1)^2/2, so the window |x| <= K drops mass
-    <= 2 C q^(K^2/2) / (1-q); K keeps that under _LATTICE_TAIL_MASS.
+    Its lattice law is C q^((x-1)(x-2 beta)/2) for beta < 1/2 and C q^(x(1+x-2 beta)/2)
+    for beta >= 1/2: the discrete normal at alpha = dnorm_alpha(beta), whose normaliser
+    C = e_q(q) e_q(-q^beta) e_q(-q^(1-beta)) is given by the Jacobi triple product.
+    So lattice_probs is dnorm_table of that discrete normal.
     """
     b = _beta_float(beta)
     q = as_qbase(q)
-    h = -q.log
-    log_c = -math.fsum([
-        _lattice_sum("log1mexp", -h, h, math.inf),
-        _lattice_sum("softplus", -b * h, h, math.inf),
-        _lattice_sum("softplus", -(1.0 - b) * h, h, math.inf),
-    ])
-    slack = log_c + math.log(2.0 / (1.0 - q.value) / _LATTICE_TAIL_MASS)
-    half = max(LATTICE_HALF_WIDTH, math.ceil(math.sqrt(2.0 * max(slack, 0.0) / h)))
-    xs = np.arange(-half, half + 1)
-    if b < 0.5:
-        expo = 0.5 * (xs - 1.0) * (xs - 2.0 * b)
-        delta = 0
-    else:
-        expo = 0.5 * xs * (1.0 + xs - 2.0 * b)
-        delta = 1
-    probs = np.exp(log_c + expo * q.log)
-    table = PMFTable(int(xs[0]), probs, min(math.fsum(probs.tolist()), 1.0))
+    delta = 0 if b < 0.5 else 1
     c = c_direct(b, q)
     if math.floor(c + b + 1e-9) != delta:  # floor_case's check, on the c computed once here
         raise ConsistencyError(f"floor(c + beta) != {delta} at beta={b}, q={q}")
@@ -278,5 +256,5 @@ def limit_law(beta, q) -> LimitLaw:
         sigma=math.sqrt(sigma_limit(b, q)),
         delta=delta,
         c_value=c,
-        lattice_probs=table,
+        lattice_probs=dnorm_table(DiscreteNormal(dnorm_alpha(b), q)),
     )

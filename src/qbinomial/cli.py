@@ -122,7 +122,7 @@ def _dist_from_args(args) -> object:
 
 
 def _cmd_pmf(args) -> tuple:
-    table = tabulate(_dist_from_args(args), args.tol)
+    table = tabulate(_dist_from_args(args))
     rows = [{"x": int(x), "p": float(p)} for x, p in zip(table.x_values(), table.probs)]
     return ["x", "p"], rows
 
@@ -133,7 +133,7 @@ def _cmd_moments(args) -> tuple:
         m = kb_moments(law)
         mean, var = m.mean, m.variance
     else:
-        t = tabulate(law, 1e-12)
+        t = tabulate(law)
         xs = t.x_values().astype(float)
         mean = float(np.dot(xs, t.probs))
         var = float(np.dot((xs - mean) ** 2, t.probs))
@@ -143,7 +143,7 @@ def _cmd_moments(args) -> tuple:
 def _cmd_sample(args) -> tuple:
     law = _dist_from_args(args)
     rng = np.random.default_rng(getattr(args, "seed", None))
-    draws = sample_by_inversion(tabulate(law, 1e-12), rng, size=args.count)
+    draws = sample_by_inversion(tabulate(law), rng, size=args.count)
     rows = [{"index": i, "value": int(v)} for i, v in enumerate(draws)]
     return ["index", "value"], rows
 
@@ -278,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", help="float or 'a*q^-b' literal")
         p.add_argument("--alpha", type=float)
         p.add_argument("--q", type=float, required=True)
-        p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("pmf", help="tabulate a pmf", parents=[flags])
     add_dist_flags(p)

@@ -149,8 +149,9 @@ class MomentPair:
 class PMFTable:
     """Probabilities on the lattice window offset, offset+1, ...
 
-    captured_mass is the window's total probability; builders certify it
-    against each law's tail bound so metrics can account for the leakage.
+    captured_mass is the window's total probability. The builders here cut every
+    window where the omitted entries are 0.0 in binary64, so their tables capture
+    1.0; a table built elsewhere may leak mass, which tv_distance accounts for.
     """
 
     offset: int
@@ -190,17 +191,28 @@ class PMFTable:
         return PMFTable(self.offset - k, self.probs, self.captured_mass)
 
 
-def _table_mass(probs: np.ndarray) -> float:
-    return min(math.fsum(probs.tolist()), 1.0)
+def _half_width(q: QBase) -> int:
+    """K, the least integer with ln(1/q) K(K-1)/2 >= 760, plus 2: 50 at q = 0.5, 1236 at 0.999.
+
+    Where ln P(x+1)/P(x) falls by ln(1/q) or more per step, P(mode +- k) is at most
+    e^(-ln(1/q) k(k-1)/2) P(mode), so every entry past mode +- K is below e^-760 of
+    the mode, which is 0.0 in binary64.
+    """
+    return math.ceil(0.5 + math.sqrt(0.25 + 2.0 * 760.0 / -q.log)) + 2
+
+
+def _normalised_table(offset: int, logw: np.ndarray) -> PMFTable:
+    """Weights e^logw on offset, offset+1, ..., divided by their sum.
+
+    The window must hold every entry that is not 0.0 in binary64, so it captures 1.0.
+    """
+    probs = np.exp(logw)
+    probs /= probs.sum()
+    return PMFTable(offset, probs, 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Kemp q-binomial
-
-
-def _kb_logit(d: KempBinomial, x: int) -> float:
-    """t_x = ln(theta q^x) = ln m - (e + x) h, with the integer e + x exact."""
-    return math.log(d.theta.mantissa) + (d.theta.exponent + x) * d.q.log
 
 
 def kb_log_pmf(d: KempBinomial, x: int) -> float:
@@ -214,7 +226,7 @@ def kb_log_pmf(d: KempBinomial, x: int) -> float:
     if d.theta.is_zero:
         return 0.0 if x == 0 else -math.inf
     n, q, h = d.n, d.q, -d.q.log
-    t = _kb_logit(d, x)
+    t = math.log(d.theta.mantissa) + (d.theta.exponent + x) * q.log  # ln(theta q^x), e + x exact
     binom = log_qq_factorial(n, q) - log_qq_factorial(x, q) - log_qq_factorial(n - x, q)
     return binom - _lattice_sum("softplus", -t - h, h, x) - _lattice_sum("softplus", t, h, n - x)
 
@@ -224,35 +236,39 @@ def kb_pmf(d: KempBinomial, x: int) -> float:
     return math.exp(kb_log_pmf(d, x)) if x >= 0 and x <= d.n else 0.0
 
 
-def kb_table(d: KempBinomial) -> PMFTable:
-    """Table on the window mode +- K of {0, ..., n}, in O(K + log n).
+def _logit_table(lm: float, e: int, n: int | float, q: QBase, from_zero: bool) -> PMFTable:
+    """Table of the sum of independent Bernoullis with logits t_i = lm - (e + i) h, i < n.
 
+    That is KB(n, m q^e, q) with m = e^lm, or with n = inf the Heine law H(m q^e).
     l(x) = ln P(x+1)/P(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) falls by h = ln(1/q)
-    or more per step, so P(mode +- k) <= e^(-h k(k-1)/2), which K puts below e^-760,
-    0.0 in binary64. The mode, the first x with l(x) <= 0, is found by bisection;
-    the entries are sums of l outward from it.
+    or more per step. The mode, the first x with l(x) <= 0, is found by bisection;
+    the entries are sums of l outward from it, on mode +- K clipped to {0, ..., n},
+    or on {0, ..., mode + K} when from_zero. With e + x an exact integer, t_x has
+    no cancellation even where theta ~ q^(-n).
     """
-    n, h = d.n, -d.q.log
-    if d.theta.is_zero:
-        return PMFTable(0, np.array([1.0]), 1.0)
+    h = -q.log
 
     def log_ratio(x: int) -> float:
-        return _kb_logit(d, x) + math.log(math.expm1((x - n) * h) / math.expm1(-(x + 1) * h))
+        return lm - (e + x) * h + math.log(math.expm1((x - n) * h) / math.expm1(-(x + 1) * h))
 
     # |l(x) - t_x| <= c = -ln(1 - q), so l > 0 below lo and l < 0 from hi on
-    lm, e, c = math.log(d.theta.mantissa), d.theta.exponent, -math.log1p(-d.q.value)
+    c = -math.log1p(-q.value)
     lo = min(n, max(0, math.floor((lm - c) / h) - e - 1))
     hi = min(n, max(0, math.ceil((lm + c) / h) - e + 1))
     mode = lo + bisect.bisect_left(range(lo, hi), True, key=lambda x: log_ratio(x) <= 0.0)
-    K = math.ceil(0.5 + math.sqrt(0.25 + 2.0 * 760.0 / h)) + 2
-    lo, hi = max(0, mode - K), min(n, mode + K)
+    K = _half_width(q)
+    lo, hi = 0 if from_zero else max(0, mode - K), min(n, mode + K)
     x = np.arange(lo, hi)
-    ell = _kb_logit(d, lo) - h * (x - lo) + np.log(np.expm1((x - n) * h) / np.expm1(-(x + 1) * h))
+    ell = lm - (e + lo) * h - h * (x - lo) + np.log(np.expm1((x - n) * h) / np.expm1(-(x + 1) * h))
     i = mode - lo
-    logp = np.concatenate((-np.cumsum(ell[:i][::-1])[::-1], [0.0], np.cumsum(ell[i:])))
-    probs = np.exp(logp)
-    probs /= probs.sum()
-    return PMFTable(lo, probs, 1.0)
+    return _normalised_table(lo, np.concatenate((-np.cumsum(ell[:i][::-1])[::-1], [0.0], np.cumsum(ell[i:]))))
+
+
+def kb_table(d: KempBinomial) -> PMFTable:
+    """Table on the window mode +- K of {0, ..., n}, in O(K + log n)."""
+    if d.theta.is_zero:
+        return PMFTable(0, np.array([1.0]), 1.0)
+    return _logit_table(math.log(d.theta.mantissa), d.theta.exponent, d.n, d.q, from_zero=False)
 
 
 def kb_moments(d: KempBinomial) -> MomentPair:
@@ -279,11 +295,6 @@ def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None
 # Heine
 
 
-def _heine_log_eq_neg_theta(d: Heine) -> float:
-    """ln e_q(-theta) = -ln (-theta; q)_inf, a softplus lattice sum."""
-    return -_lattice_sum("softplus", math.log(d.theta), -d.q.log, math.inf)
-
-
 def heine_pmf(d: Heine, x: int) -> float:
     """P(X = x) = q^{x(x-1)/2} theta^x / (q,q)_x * e_q(-theta); 0 for x < 0."""
     if x < 0:
@@ -294,7 +305,7 @@ def heine_pmf(d: Heine, x: int) -> float:
         0.5 * x * (x - 1) * d.q.log
         + x * math.log(d.theta)
         - log_qq_factorial(x, d.q)
-        + _heine_log_eq_neg_theta(d)
+        - _lattice_sum("softplus", math.log(d.theta), -d.q.log, math.inf)  # ln e_q(-theta)
     )
     return math.exp(logp)
 
@@ -306,70 +317,34 @@ def heine_mean(d: Heine) -> float:
     return _lattice_sum("sigmoid", math.log(d.theta), -d.q.log, math.inf)
 
 
-def heine_table(d: Heine, tol: float = 1e-12) -> PMFTable:
-    """Finite window {0, ..., X} capturing mass >= 1 - tol.
+def heine_table(d: Heine) -> PMFTable:
+    """Table on {0, ..., mode + K}: kb_table's log ratio with n = inf, where ln(1 - q^(n-x)) is 0.
 
-    Stops once the pmf bound at x is below tol/1e3 and the term ratio
-    theta q^x falls under 1/2, so the dropped tail is under tol.
+    The window starts at 0 whatever the mode, so offset is always 0.
     """
     if d.theta == 0.0:
         return PMFTable(0, np.array([1.0]), 1.0)
-    q = d.q
-    log_qq_inf = _lattice_sum("log1mexp", q.log, -q.log, math.inf)
-    log_const = _heine_log_eq_neg_theta(d)
-    probs = []
-    lqq, carry = 0.0, 0.0  # ln (q;q)_x = lqq + carry, a compensated running sum
-    x = 0
-    while True:
-        logp = 0.5 * x * (x - 1) * q.log + x * math.log(d.theta) - (lqq + carry) + log_const
-        probs.append(math.exp(logp))
-        # q^{x(x+1)/2} theta^{x+1} / (q;q)_inf bounds P(X = x+1)
-        bound = 0.5 * (x + 1) * x * q.log + (x + 1) * math.log(d.theta) - log_qq_inf
-        if d.theta * q.pow(x) < 0.5 and bound < math.log(tol * 5e-4):
-            break
-        x += 1
-        term = math.log(-math.expm1(x * q.log))
-        carry += (lqq - (lqq + term)) + term  # exact while |lqq| >= |term|, as here
-        lqq += term
-    arr = np.array(probs)
-    return PMFTable(0, arr, _table_mass(arr))
+    return _logit_table(math.log(d.theta), 0, math.inf, d.q, from_zero=True)
 
 
 # ---------------------------------------------------------------------------
 # discrete normal
 
 
-def _dnorm_log_weights(d: DiscreteNormal, k):
-    """ln q^((x - alpha)^2/2) at x = round(alpha) + k: ln q^(x^2/2 - x alpha) less a constant."""
-    u = k + (round(d.alpha) - d.alpha)  # round(alpha) - alpha is exact: no cancellation
-    return 0.5 * u * u * d.q.log
+def dnorm_table(d: DiscreteNormal) -> PMFTable:
+    """Window round(alpha) +- K, weights q^((x - alpha)^2/2) = q^(u^2/2).
 
-
-def _dnorm_window(q: QBase, eps: float) -> np.ndarray:
-    """k = -K..K, so that the weights at |k| > K sum to under eps times the largest one.
-
-    There |u| >= |k| - 1/2, so those weights sum to under 2 q^((K+1/2)^2/2) / (1 - q);
-    the largest weight, at k = 0, is at least q^(1/8).
+    u = k + (round(alpha) - alpha) at x = round(alpha) + k, and round(alpha) - alpha
+    is exact, so x^2/2 - x alpha never cancels.
     """
-    K = math.ceil(math.sqrt(2.0 * math.log(2.0 / ((1.0 - q.value) * eps)) / -q.log))
-    return np.arange(-K, K + 1)
-
-
-def _dnorm_log_norm(d: DiscreteNormal) -> float:
-    """ln of the sum of the centred weights, to a relative 1e-18."""
-    return math.log(math.fsum(np.exp(_dnorm_log_weights(d, _dnorm_window(d.q, 1e-18))).tolist()))
+    K = _half_width(d.q)
+    u = np.arange(-K, K + 1) + (round(d.alpha) - d.alpha)
+    return _normalised_table(round(d.alpha) - K, 0.5 * u * u * d.q.log)
 
 
 def dnorm_pmf(d: DiscreteNormal, x: int) -> float:
-    """P(X = x) on the integer lattice."""
-    return math.exp(_dnorm_log_weights(d, x - round(d.alpha)) - _dnorm_log_norm(d))
-
-
-def dnorm_table(d: DiscreteNormal, tol: float = 1e-12) -> PMFTable:
-    """Window round(alpha) +- K capturing mass >= 1 - min(tol, 1e-12); K depends on q alone."""
-    k = _dnorm_window(d.q, min(tol, 1e-12))
-    probs = np.exp(_dnorm_log_weights(d, k) - _dnorm_log_norm(d))
-    return PMFTable(round(d.alpha) + int(k[0]), probs, _table_mass(probs))
+    """P(X = x) on the integer lattice, read from dnorm_table."""
+    return dnorm_table(d).prob(x)
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +380,19 @@ def reference_pmf(law, x: int) -> float:
 
 
 def binomial_table(law: Binomial) -> PMFTable:
-    probs = np.array([reference_pmf(law, x) for x in range(law.n + 1)])
-    return PMFTable(0, probs, _table_mass(probs))
+    """Table on the whole support {0, ..., n}."""
+    return _normalised_table(0, np.array([_binomial_log_pmf(law.n, law.p, x) for x in range(law.n + 1)]))
 
 
-def poisson_table(law: Poisson, tol: float = 1e-12) -> PMFTable:
-    if law.lam == 0.0:
-        return PMFTable(0, np.array([1.0]), 1.0)
-    probs = []
-    x = 0
-    while True:
-        probs.append(math.exp(_poisson_log_pmf(law.lam, x)))
-        # beyond the mode the tail is dominated by a geometric series
-        if x > law.lam and law.lam / (x + 1) < 0.5 and 2.0 * probs[-1] < tol * 1e-3:
-            break
-        x += 1
-    arr = np.array(probs)
-    return PMFTable(0, arr, _table_mass(arr))
+def poisson_table(law: Poisson) -> PMFTable:
+    """Table on {0, ..., X}, X = ceil(lam + d) with d = T/3 + sqrt(T^2/9 + 2 T lam), T = 760.
+
+    Bernstein's bound P(X >= lam + d) <= exp(-d^2 / (2 (lam + d/3))) is e^-760 at that
+    d, so the omitted tail is 0.0 in binary64.
+    """
+    T = 760.0
+    last = math.ceil(law.lam + T / 3.0 + math.sqrt(T * T / 9.0 + 2.0 * T * law.lam))
+    return _normalised_table(0, np.array([_poisson_log_pmf(law.lam, x) for x in range(last + 1)]))
 
 
 # ---------------------------------------------------------------------------

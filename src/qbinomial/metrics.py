@@ -80,22 +80,20 @@ class SweepReport:
         return keys
 
 
-def tabulate(law, tol: float = 1e-12) -> PMFTable:
-    """Finite table for any supported law, capturing mass >= 1 - tol."""
-    if not 0.0 < tol <= 1e-6:
-        raise ValueError(f"tol must lie in (0, 1e-6], got {tol}")
+def tabulate(law) -> PMFTable:
+    """Finite table for any supported law; a PMFTable is passed through."""
     if isinstance(law, PMFTable):
         return law
     if isinstance(law, KempBinomial):
         return kb_table(law)
     if isinstance(law, Heine):
-        return heine_table(law, tol)
+        return heine_table(law)
     if isinstance(law, DiscreteNormal):
-        return dnorm_table(law, tol)
+        return dnorm_table(law)
     if isinstance(law, Binomial):
         return binomial_table(law)
     if isinstance(law, Poisson):
-        return poisson_table(law, tol)
+        return poisson_table(law)
     if isinstance(law, LimitLaw):
         return law.lattice_probs
     raise TypeError(f"cannot tabulate {law!r}")
@@ -112,11 +110,14 @@ def _union_arrays(a: PMFTable, b: PMFTable):
 
 
 def tv_distance(a: PMFTable, b: PMFTable) -> float:
-    """Half the l1 gap on the union lattice, plus half the uncaptured-mass gap, at most 1."""
+    """Upper end of the true TV, min(1, core + (u_a + u_b)/2).
+
+    core is half the l1 gap on the union lattice and u a table's uncaptured mass;
+    that mass may sit anywhere, so the true TV lies within (u_a + u_b)/2 of core.
+    """
     pa, pb = _union_arrays(a, b)
     core = 0.5 * math.fsum(np.abs(pa - pb).tolist())
-    slack = 0.5 * abs((1.0 - a.captured_mass) - (1.0 - b.captured_mass))
-    return min(1.0, core + slack)
+    return min(1.0, core + 0.5 * ((1.0 - a.captured_mass) + (1.0 - b.captured_mass)))
 
 
 def kolmogorov_distance(a: PMFTable, b: PMFTable) -> float:

@@ -22,7 +22,7 @@ from qbinomial.distributions import (
     dnorm_pmf,
     kb_moments,
 )
-from qbinomial.qcalc import QBase, ScaledReal
+from qbinomial.qcalc import QBase, ScaledReal, _lattice_sum
 
 Q5 = QBase(0.5)
 
@@ -293,9 +293,12 @@ class TestLimitLaw:
         assert half.position(0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("qv", [0.2, 0.5, 0.9])
-    def test_window_is_fifty_wide_up_to_q_09(self, qv):
+    def test_window_is_round_alpha_plus_minus_k(self, qv):
+        # K is the least integer with ln(1/q) K(K-1)/2 >= 760, plus 2
+        h = -math.log(qv)
+        K = next(k for k in range(1, 10**4) if h * k * (k - 1) / 2 >= 760) + 2
         t = limit_law(0.3, QBase(qv)).lattice_probs
-        assert (t.offset, len(t)) == (-50, 101)
+        assert (t.offset, len(t)) == (round(dnorm_alpha(0.3)) - K, 2 * K + 1)
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     @pytest.mark.parametrize("qv", [0.99, 0.998, 0.999])
@@ -315,6 +318,26 @@ class TestLimitLaw:
             norm = mp.fsum(mp.exp(expo(x) * lq) for x in range(-reach, reach + 1))
             for x in (-40, 0, 1, 25, 120):
                 assert t.prob(x) == pytest.approx(float(mp.exp(expo(x) * lq) / norm), rel=1e-11)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.9, 0.99, 0.999])
+    def test_jacobi_triple_product_closed_form(self, beta, qv):
+        # by Jacobi's triple product the lattice law is C q^expo(x) with
+        # C = 1 / [(q;q)_inf (-q^beta;q)_inf (-q^(1-beta);q)_inf]; C overflows a
+        # float at q >= 0.998, so ln C is taken from the lattice kernel
+        h = -math.log(qv)
+        log_c = -math.fsum([
+            _lattice_sum("log1mexp", -h, h, math.inf),
+            _lattice_sum("softplus", -beta * h, h, math.inf),
+            _lattice_sum("softplus", -(1.0 - beta) * h, h, math.inf),
+        ])
+        if beta < 0.5:
+            expo = lambda x: 0.5 * (x - 1.0) * (x - 2.0 * beta)
+        else:
+            expo = lambda x: 0.5 * x * (1.0 + x - 2.0 * beta)
+        t = limit_law(beta, QBase(qv)).lattice_probs
+        for x in range(-20, 21):
+            assert t.prob(x) == pytest.approx(math.exp(log_c + expo(x) * math.log(qv)), rel=1e-12)
 
     def test_sigma_is_sqrt_of_variance_series(self):
         law = limit_law(0.3, Q5)

@@ -290,7 +290,7 @@ class TestHeine:
         assert heine_mean(Heine(0.5, Q5)) == pytest.approx(kb, abs=1e-10)
 
     def test_table_tail_certified(self):
-        t = heine_table(Heine(0.5, Q5), tol=1e-12)
+        t = heine_table(Heine(0.5, Q5))
         assert t.captured_mass >= 1 - 1e-12
         # paper tail rule: mass complete once q^{x(x-1)/2} theta^x/(q;q)_inf < 1e-16
         qq_inf = q_pochhammer_inf(0.5, Q5)
@@ -309,6 +309,18 @@ class TestHeine:
         assert math.fsum(t.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
         assert heine_pmf(d, 3) == pytest.approx(t.prob(3), rel=1e-12)
         assert heine_mean(d) == pytest.approx(table_moments(t)[0], rel=1e-11)
+
+    def test_window_from_zero_past_k(self):
+        # at q = 0.999, theta = 5 the mode (about 1790) lies past K = 1236,
+        # and the window still starts at 0, so index i holds P(X = i)
+        d = Heine(5.0, QBase(0.999))
+        t = heine_table(d)
+        mode = int(np.argmax(t.probs))
+        assert t.offset == 0
+        assert mode > 1236
+        for x in range(mode - 50, mode + 51):
+            assert t.prob(x) == pytest.approx(heine_pmf(d, x), rel=1e-11)
+        assert table_moments(t)[0] == pytest.approx(heine_mean(d), rel=1e-11)
 
     @pytest.mark.parametrize("qv", [0.998, 0.999])
     def test_pmf_near_q_one_against_mpmath(self, qv):
@@ -343,7 +355,7 @@ class TestDiscreteNormal:
         assert dnorm_pmf(d, 0) == pytest.approx(0.33214, abs=1e-5)
 
     def test_table_symmetric(self):
-        t = dnorm_table(DiscreteNormal(0.0, Q5), tol=1e-12)
+        t = dnorm_table(DiscreteNormal(0.0, Q5))
         assert np.allclose(t.probs, t.probs[::-1], rtol=0, atol=0)
         assert t.captured_mass >= 1 - 1e-12
 
@@ -356,17 +368,22 @@ class TestDiscreteNormal:
         c = round(alpha)
         with mp.workdps(40):
             lq = mp.log(qv)
-            reach = int(math.sqrt(2 * 140 / -math.log(qv))) + 2
-            w = {
-                x: mp.exp((x - mp.mpf(alpha)) ** 2 / 2 * lq)
-                for x in range(c - reach, c + reach + 1)
-            }
+            w = {int(x): mp.exp((int(x) - mp.mpf(alpha)) ** 2 / 2 * lq) for x in t.x_values()}
             z = mp.fsum(w.values())
+            ref = {x: wx / z for x, wx in w.items()}
         assert t.offset < c < t.last
         assert t.captured_mass >= 1 - 1e-12
+        top = t.probs.max()
         for x, p in zip(t.x_values(), t.probs):
-            assert p == pytest.approx(float(w[int(x)] / z), rel=5e-14)
-        assert dnorm_pmf(d, c + 1) == pytest.approx(float(w[c + 1] / z), rel=5e-14)
+            r = ref[int(x)]
+            if p >= 1e-12 * top:
+                assert p == pytest.approx(float(r), rel=5e-14)
+            else:
+                # far entries: the rounding of their log-weight grows with |ln p|;
+                # 5e-324, one subnormal ulp, covers the final rounding of exp
+                tol = 1e-15 * (1 + abs(float(mp.log(r)))) * float(r) + 5e-324
+                assert abs(p - float(r)) <= tol
+        assert dnorm_pmf(d, c + 1) == pytest.approx(float(ref[c + 1]), rel=5e-14)
 
 
 class TestReferenceLaws:
@@ -387,7 +404,7 @@ class TestReferenceLaws:
         assert reference_pmf(Poisson(1.0), -1) == 0.0
 
     def test_poisson_table_mass(self):
-        t = poisson_table(Poisson(3.0), tol=1e-12)
+        t = poisson_table(Poisson(3.0))
         assert t.captured_mass >= 1 - 1e-12
 
 

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qbinomial.asymptotics import dnorm_alpha, limit_law
 from qbinomial.distributions import (
     Binomial,
     DiscreteNormal,
@@ -10,6 +12,9 @@ from qbinomial.distributions import (
     KempBinomial,
     PMFTable,
     Poisson,
+    heine_pmf,
+    kb_pmf,
+    reference_pmf,
 )
 from qbinomial.metrics import (
     convergence_sweep,
@@ -17,7 +22,7 @@ from qbinomial.metrics import (
     tabulate,
     tv_distance,
 )
-from qbinomial.qcalc import QBase
+from qbinomial.qcalc import QBase, ScaledReal
 
 Q5 = QBase(0.5)
 
@@ -33,24 +38,58 @@ class TestTabulate:
         assert t.captured_mass == pytest.approx(1.0, abs=1e-14)
 
     def test_heine_mass(self):
-        t = tabulate(Heine(0.5, Q5), tol=1e-12)
+        t = tabulate(Heine(0.5, Q5))
         assert t.captured_mass >= 1 - 1e-12
 
     def test_dnorm_symmetric(self):
-        t = tabulate(DiscreteNormal(0.0, Q5), tol=1e-12)
+        t = tabulate(DiscreteNormal(0.0, Q5))
         assert np.array_equal(t.probs, t.probs[::-1])
 
     def test_reference_laws(self):
         assert tabulate(Binomial(4, 0.25)).prob(0) == pytest.approx(0.31640625)
         assert tabulate(Poisson(2.0)).captured_mass >= 1 - 1e-12
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            tabulate(Heine(0.5, Q5), tol=0.5)
-
     def test_passthrough_table(self):
         t = point_mass(3)
         assert tabulate(t) is t
+
+    @pytest.mark.parametrize("qv", [0.05, 0.5, 0.999])
+    @pytest.mark.parametrize("name", ["kb", "heine", "dnorm", "limit", "poisson", "binomial"])
+    def test_table_contract(self, name, qv):
+        # every builder cuts where the omitted entries are 0.0 in binary64
+        law, pmf, support = _contract_case(name, QBase(qv))
+        t = tabulate(law)
+        assert t.captured_mass == 1.0
+        assert abs(math.fsum(t.probs.tolist()) - 1.0) <= 1e-12
+        top = t.probs.max()
+        for x in (t.offset - 1, t.last + 1):
+            if support[0] <= x <= support[1]:
+                assert pmf(x) < 1e-300 * top
+
+
+def _dnorm_point_pmf(alpha: float, q: QBase):
+    """pmf of the discrete normal from its weights q^((x - alpha)^2/2), for small |alpha|."""
+    log_z = math.log(math.fsum(math.exp(0.5 * (x - alpha) ** 2 * q.log) for x in range(-4000, 4001)))
+    return lambda x: math.exp(0.5 * (x - alpha) ** 2 * q.log - log_z)
+
+
+def _contract_case(name: str, q: QBase):
+    """(law, its point pmf, its support) for the table-contract test."""
+    if name == "kb":
+        d = KempBinomial(10_000, ScaledReal.from_q_power(-5000.3, q), q)
+        return d, lambda x: kb_pmf(d, x), (0, d.n)
+    if name == "heine":
+        d = Heine(5.0, q)
+        return d, lambda x: heine_pmf(d, x), (0, math.inf)
+    if name == "dnorm":
+        return DiscreteNormal(0.3, q), _dnorm_point_pmf(0.3, q), (-math.inf, math.inf)
+    if name == "limit":
+        return limit_law(0.3, q), _dnorm_point_pmf(dnorm_alpha(0.3), q), (-math.inf, math.inf)
+    if name == "poisson":
+        law = Poisson(q.value / (1.0 - q.value))
+        return law, lambda x: reference_pmf(law, x), (0, math.inf)
+    law = Binomial(20, q.value)
+    return law, lambda x: reference_pmf(law, x), (0, law.n)
 
 
 class TestDistances:
@@ -95,6 +134,13 @@ class TestDistances:
         ]
         for a, b in pairs:
             assert kolmogorov_distance(a, b) <= tv_distance(a, b) + 1e-14
+
+    def test_tv_is_upper_end_under_uncaptured_mass(self):
+        # each table may hold its missing 1e-7 anywhere, so the true TV of two
+        # tables with equal entries can be as large as 1e-7
+        a = PMFTable(0, np.array([0.5, 0.5 - 1e-7]), 1.0 - 1e-7)
+        b = PMFTable(0, np.array([0.5, 0.5 - 1e-7]), 1.0 - 1e-7)
+        assert tv_distance(a, b) == pytest.approx(1e-7, rel=1e-6)
 
     def test_uncaptured_mass_slack(self):
         full = point_mass(0)
