@@ -32,6 +32,7 @@ from .distributions import (
     DiscreteNormal,
     Heine,
     KempBinomial,
+    _kb_mean,
     kb_moments,
     sample_by_inversion,
 )
@@ -123,7 +124,7 @@ def _dist_from_args(args) -> object:
 
 def _cmd_pmf(args) -> tuple:
     table = tabulate(_dist_from_args(args))
-    rows = [{"x": int(x), "p": float(p)} for x, p in zip(table.x_values(), table.probs)]
+    rows = [{"x": x, "p": p} for x, p in zip(table.x_values().tolist(), table.probs.tolist())]
     return ["x", "p"], rows
 
 
@@ -144,7 +145,7 @@ def _cmd_sample(args) -> tuple:
     law = _dist_from_args(args)
     rng = np.random.default_rng(getattr(args, "seed", None))
     draws = sample_by_inversion(tabulate(law), rng, size=args.count)
-    rows = [{"index": i, "value": int(v)} for i, v in enumerate(draws)]
+    rows = [{"index": i, "value": v} for i, v in enumerate(draws.tolist())]
     return ["index", "value"], rows
 
 
@@ -155,9 +156,7 @@ def _cmd_asym(args) -> tuple:
     rows = []
     for n in parse_n_list(args.n_list):
         r = mean_expansion(n, drift, q, terms)
-        direct = kb_moments(
-            KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q)
-        ).mean
+        direct = _kb_mean(KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q))
         rows.append(
             {
                 "n": n,
@@ -183,13 +182,13 @@ def _cmd_limit(args) -> tuple:
     t = law.lattice_probs
     rows = [
         {
-            "x": int(x),
-            "p": float(p),
+            "x": x,
+            "p": p,
             "alpha": alpha,
             "sigma": law.sigma,
             "delta": law.delta,
         }
-        for x, p in zip(t.x_values(), t.probs)
+        for x, p in zip(t.x_values().tolist(), t.probs.tolist())
     ]
     return ["x", "p", "alpha", "sigma", "delta"], rows
 

@@ -163,11 +163,11 @@ class PMFTable:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-d array")
-        if np.any(p < 0.0):
-            raise ValueError("negative probability entry")
+        if not p.min() >= 0.0:  # also false for a NaN entry
+            raise ValueError("negative or NaN probability entry")
         if not 0.0 < self.captured_mass <= 1.0 + 1e-12:
             raise ValueError(f"captured_mass {self.captured_mass!r} outside (0, 1]")
-        if abs(float(p.sum()) - self.captured_mass) > 1e-9:  # entries >= 0: sum() is exact enough
+        if not abs(float(p.sum()) - self.captured_mass) <= 1e-9:  # entries >= 0: sum() is exact enough
             raise ValueError("captured_mass inconsistent with table entries")
 
     def __len__(self) -> int:
@@ -186,9 +186,15 @@ class PMFTable:
             return float(self.probs[i])
         return 0.0
 
+    def _moved(self, offset: int, probs: np.ndarray) -> "PMFTable":
+        """These checked entries, reordered, on a new offset; a move cannot break a check."""
+        t = object.__new__(PMFTable)
+        t.__dict__.update(offset=offset, probs=probs, captured_mass=self.captured_mass)
+        return t
+
     def shifted(self, k: int) -> "PMFTable":
         """Table of X - k."""
-        return PMFTable(self.offset - k, self.probs, self.captured_mass)
+        return self._moved(self.offset - k, self.probs)
 
 
 def _half_width(q: QBase) -> int:
@@ -261,7 +267,12 @@ def _logit_table(lm: float, e: int, n: int | float, q: QBase, from_zero: bool) -
     x = np.arange(lo, hi)
     ell = lm - (e + lo) * h - h * (x - lo) + np.log(np.expm1((x - n) * h) / np.expm1(-(x + 1) * h))
     i = mode - lo
-    return _normalised_table(lo, np.concatenate((-np.cumsum(ell[:i][::-1])[::-1], [0.0], np.cumsum(ell[i:]))))
+    logw = np.empty(ell.size + 1)
+    logw[i] = 0.0
+    np.cumsum(ell[i:], out=logw[i + 1 :])
+    np.cumsum(ell[:i][::-1], out=logw[:i][::-1])
+    np.negative(logw[:i], out=logw[:i])
+    return _normalised_table(lo, logw)
 
 
 def kb_table(d: KempBinomial) -> PMFTable:
@@ -279,8 +290,14 @@ def kb_moments(d: KempBinomial) -> MomentPair:
     """
     if d.theta.is_zero or d.n == 0:
         return MomentPair(0.0, 0.0)
-    lt, h = d.log_theta, -d.q.log
-    return MomentPair(_lattice_sum("sigmoid", lt, h, d.n), _lattice_sum("dsigmoid", lt, h, d.n))
+    return MomentPair(_kb_mean(d), _lattice_sum("dsigmoid", d.log_theta, -d.q.log, d.n))
+
+
+def _kb_mean(d: KempBinomial) -> float:
+    """kb_moments(d).mean without the variance sum."""
+    if d.theta.is_zero or d.n == 0:
+        return 0.0
+    return _lattice_sum("sigmoid", d.log_theta, -d.q.log, d.n)
 
 
 def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None):
@@ -423,4 +440,4 @@ def reflect(t: PMFTable, n: int) -> PMFTable:
         raise SupportError(
             f"support [{t.offset}, {t.last}] not contained in [0, {n}]"
         )
-    return PMFTable(n - t.last, t.probs[::-1].copy(), t.captured_mass)
+    return t._moved(n - t.last, t.probs[::-1].copy())

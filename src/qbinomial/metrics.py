@@ -23,10 +23,10 @@ from .distributions import (
     KempBinomial,
     PMFTable,
     Poisson,
+    _kb_mean,
     binomial_table,
     dnorm_table,
     heine_table,
-    kb_moments,
     kb_table,
     poisson_table,
     reflect,
@@ -115,8 +115,11 @@ def tv_distance(a: PMFTable, b: PMFTable) -> float:
     core is half the l1 gap on the union lattice and u a table's uncaptured mass;
     that mass may sit anywhere, so the true TV lies within (u_a + u_b)/2 of core.
     """
-    pa, pb = _union_arrays(a, b)
-    core = 0.5 * math.fsum(np.abs(pa - pb).tolist())
+    lo = min(a.offset, b.offset)
+    gap = np.zeros(max(a.last, b.last) - lo + 1)
+    gap[a.offset - lo : a.offset - lo + len(a)] = a.probs
+    gap[b.offset - lo : b.offset - lo + len(b)] -= b.probs
+    core = 0.5 * math.fsum(np.abs(gap).tolist())
     return min(1.0, core + 0.5 * ((1.0 - a.captured_mass) + (1.0 - b.captured_mass)))
 
 
@@ -157,7 +160,7 @@ def _sweep_poisson(q: QBase, params: dict, n_list) -> list:
             ConvergenceRow(
                 n,
                 tv_distance(kb_table(d), limit),
-                {"theta": theta, "mean": kb_moments(d).mean},
+                {"theta": theta, "mean": _kb_mean(d)},
             )
         )
     return rows
@@ -184,38 +187,36 @@ def _sweep_constant_mean(q: QBase, params: dict, n_list) -> list:
     return rows
 
 
-def _subexp_shift(n: int, drift: FractionalDrift, mu: float) -> int:
-    """Lattice shift: floor(mu_n), or the half-integer rule when beta = 1/2."""
-    if drift.beta_fraction(n) != Fraction(1, 2):
-        return math.floor(mu)
-    f2 = 2 * (drift.slope * n + Fraction(drift.offset))
-    return math.floor(mu) if f2 <= n - 1 else math.ceil(mu)
-
-
 def _sweep_subexponential(q: QBase, params: dict, n_list) -> list:
     slope, offset = _require(params, "slope", "offset")
     drift = FractionalDrift(Fraction(slope), float(offset))
-    betas = {drift.beta_fraction(n) for n in n_list}
+    # beta_fraction(n) depends only on n mod the slope's denominator
+    betas = {drift.beta_fraction(r) for r in {n % drift.slope.denominator for n in n_list}}
     if len(betas) != 1:
         raise ValueError(
             "subexponential sweep needs a constant fractional part; "
             f"n_list spans {sorted(float(b) for b in betas)}"
         )
     beta = betas.pop()
-    limit = limit_law(beta, q)
+    limit = limit_law(beta, q).lattice_probs
+    # shift floor(mu_n); at beta = 1/2 the half-integer rule takes ceil(mu_n) once 2 f(n) > n - 1
+    half = beta == Fraction(1, 2)
+    exact_offset = Fraction(drift.offset)
+    beta_value = float(beta)
     rows = []
     for n in n_list:
         f = drift.value(n)
         if not 0.0 < f < n:
             raise ValueError(f"f({n}) = {f} outside (0, n)")
         d = KempBinomial(n, ScaledReal.from_q_power(-f, q), q)
-        mu = kb_moments(d).mean
-        shift = _subexp_shift(n, drift, mu)
+        mu = _kb_mean(d)
+        up = half and 2 * (drift.slope * n + exact_offset) > n - 1
+        shift = math.ceil(mu) if up else math.floor(mu)
         rows.append(
             ConvergenceRow(
                 n,
-                tv_distance(kb_table(d).shifted(shift), limit.lattice_probs),
-                {"mean": mu, "shift": float(shift), "beta": float(beta)},
+                tv_distance(kb_table(d).shifted(shift), limit),
+                {"mean": mu, "shift": float(shift), "beta": beta_value},
             )
         )
     return rows

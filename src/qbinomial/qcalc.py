@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,6 +90,14 @@ _KINDS = {  # kind: (g, c_k)
 }
 
 
+@lru_cache(maxsize=64)
+def _one_minus_q_pow(h: float) -> np.ndarray:
+    """1 - e^(-k h) for k in _K, read-only; a sweep's rows share one h."""
+    out = -np.expm1(_K * -h)
+    out.flags.writeable = False
+    return out
+
+
 def _lattice_sum(kind: str, a: float, h: float, n) -> float:
     """sum_{i<n} g(a - i h) for h > 0 and n a nonnegative int or math.inf.
 
@@ -116,7 +124,7 @@ def _lattice_sum(kind: str, a: float, h: float, n) -> float:
     if il < n:
         t0, count = a - il * h, n - il
         k = _K[: 1 + math.ceil(_SERIES_DECAY / -t0)]
-        terms = coef[: k.size] * np.exp(k * t0) / -np.expm1(k * -h)
+        terms = coef[: k.size] * np.exp(k * t0) / _one_minus_q_pow(h)[: k.size]
         if count * h < _SERIES_DECAY:  # else 1 - e^{-k h count} rounds to 1
             terms *= -np.expm1(k * (-h * count))
         parts += terms.tolist()

@@ -2,13 +2,16 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qbinomial
 from qbinomial.cli import _build_parser, main, parse_n_list, parse_theta
-from qbinomial.qcalc import QBase
+from qbinomial.distributions import KempBinomial, kb_moments
+from qbinomial.qcalc import QBase, ScaledReal
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +145,18 @@ class TestAsymCommand:
             assert float(row["estimate"]) == pytest.approx(
                 float(row["f"]) + float(row["c"]), rel=1e-15
             )
+
+
+    def test_mu_direct_is_kb_mean(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "asym", "--slope", "3/10", "--offset", "0.25",
+            "--q", "0.5", "--n-list", "200:400:50",
+        )
+        assert code == 0
+        q = QBase(0.5)
+        for row in json.loads(out)["data"]:
+            d = KempBinomial(row["n"], ScaledReal.from_q_power(-row["f"], q), q)
+            assert row["mu_direct"] == kb_moments(d).mean
 
 
 class TestLimitCommand:
@@ -372,11 +387,15 @@ class TestExitCodes:
 
 
 def test_console_entry_point_runs():
+    # the child imports the package under test, also when only pytest's pythonpath finds it
+    src = os.path.dirname(os.path.dirname(qbinomial.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qbinomial.cli", "pmf", "--dist", "kb", "--n", "2",
          "--theta", "1", "--q", "0.5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,p\n")

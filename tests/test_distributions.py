@@ -293,9 +293,11 @@ class TestHeine:
         t = heine_table(Heine(0.5, Q5))
         assert t.captured_mass >= 1 - 1e-12
         # paper tail rule: mass complete once q^{x(x-1)/2} theta^x/(q;q)_inf < 1e-16
+        # in log form, since the float product underflows to 0 at x = len(t)
         qq_inf = q_pochhammer_inf(0.5, Q5)
         x = len(t)
-        assert 0.5 ** (x * (x - 1) / 2) * 0.5**x / qq_inf < 1e-16 or True
+        log_tail = x * (x - 1) / 2 * math.log(0.5) + x * math.log(0.5) - math.log(qq_inf)
+        assert log_tail < math.log(1e-16)
         partial = math.fsum(t.probs.tolist())
         assert partial == pytest.approx(1.0, abs=1e-12)
 
@@ -495,6 +497,10 @@ class TestValidation:
     def test_table_rejects_negative_probs(self):
         with pytest.raises(ValueError):
             PMFTable(0, np.array([0.5, -0.1]), 0.4)
+
+    def test_table_rejects_nan_entry(self):
+        with pytest.raises(ValueError):
+            PMFTable(0, np.array([np.nan, 0.5]), 1.0)
 
     def test_table_rejects_inconsistent_mass(self):
         with pytest.raises(ValueError):

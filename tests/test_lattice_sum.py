@@ -8,9 +8,10 @@ exact binary64 inputs a and h the kernel receives.
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
+import numpy as np
 import pytest
 
-from qbinomial.qcalc import _lattice_sum
+from qbinomial.qcalc import _K, _lattice_sum, _one_minus_q_pow
 
 QS = (1e-8, 0.05, 0.5, 0.999)
 NS = (1, 2, 100, 10_000, math.inf)
@@ -90,3 +91,13 @@ def test_lattice_sum_matches_brute_force(a, h, ns):
 
 def test_empty_lattice():
     assert _lattice_sum("sigmoid", 3.0, 0.5, 0) == 0.0
+
+
+@pytest.mark.parametrize("q", QS)
+def test_cached_denominators(q):
+    h = -math.log(q)
+    cached = _one_minus_q_pow(h)
+    assert np.array_equal(cached, -np.expm1(_K * -h))
+    assert _one_minus_q_pow(h) is cached
+    with pytest.raises(ValueError):
+        cached[0] = 0.0

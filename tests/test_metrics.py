@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qbinomial.asymptotics import dnorm_alpha, limit_law
+from qbinomial.asymptotics import FractionalDrift, dnorm_alpha, limit_law
 from qbinomial.distributions import (
     Binomial,
     DiscreteNormal,
@@ -13,7 +13,9 @@ from qbinomial.distributions import (
     PMFTable,
     Poisson,
     heine_pmf,
+    kb_moments,
     kb_pmf,
+    kb_table,
     reference_pmf,
 )
 from qbinomial.metrics import (
@@ -257,3 +259,77 @@ class TestSweeps:
     def test_missing_parameters(self):
         with pytest.raises(ValueError):
             convergence_sweep("poisson-coupling", {"q": Q5}, [10, 20])
+
+
+def two_array_tv(a: PMFTable, b: PMFTable) -> float:
+    """tv_distance as two zero-padded arrays on the union lattice."""
+    lo = min(a.offset, b.offset)
+    pa = np.zeros(max(a.last, b.last) - lo + 1)
+    pb = np.zeros_like(pa)
+    pa[a.offset - lo : a.offset - lo + len(a)] = a.probs
+    pb[b.offset - lo : b.offset - lo + len(b)] = b.probs
+    core = 0.5 * math.fsum(np.abs(pa - pb).tolist())
+    return min(1.0, core + 0.5 * ((1.0 - a.captured_mass) + (1.0 - b.captured_mass)))
+
+
+class TestSweepReference:
+    """Each sweep row equals the plain per-row formula, bit for bit."""
+
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize(
+        "slope, offset, n_list",
+        [
+            (Fraction(1, 2), 0.3, range(20, 121, 2)),
+            (Fraction(1, 3), 0.88, range(30, 151, 3)),
+            (Fraction(3, 10), 0.25, range(20, 301, 10)),
+        ],
+    )
+    def test_subexponential(self, qv, slope, offset, n_list):
+        self._check_subexponential(QBase(qv), slope, offset, list(n_list))
+
+    @pytest.mark.parametrize(
+        "slope, offset, n_list",
+        [
+            (Fraction(1, 2), 0.0, range(21, 122, 2)),  # 2 f(n) = n: ceil
+            (Fraction(1, 4), 0.5, range(20, 121, 4)),  # 2 f(n) = n/2 + 1 <= n - 1: floor
+        ],
+    )
+    def test_subexponential_beta_half(self, slope, offset, n_list):
+        self._check_subexponential(Q5, slope, offset, list(n_list))
+
+    @staticmethod
+    def _check_subexponential(q, slope, offset, n_list):
+        rep = convergence_sweep(
+            "subexponential", {"q": q, "slope": slope, "offset": offset}, n_list
+        )
+        drift = FractionalDrift(slope, offset)
+        assert [r.n for r in rep.rows] == n_list
+        for row in rep.rows:
+            n = row.n
+            beta = drift.beta_fraction(n)
+            d = KempBinomial(n, ScaledReal.from_q_power(-drift.value(n), q), q)
+            mu = kb_moments(d).mean
+            shift = math.floor(mu)
+            if beta == Fraction(1, 2) and 2 * (drift.slope * n + Fraction(drift.offset)) > n - 1:
+                shift = math.ceil(mu)
+            t = kb_table(d)
+            shifted = PMFTable(t.offset - shift, t.probs, t.captured_mass)
+            limit = limit_law(beta, q).lattice_probs
+            ref = two_array_tv(shifted, limit)
+            assert tv_distance(shifted, limit) == ref
+            assert tv_distance(limit, shifted) == two_array_tv(limit, shifted)
+            assert row.distance == ref
+            assert row.auxiliary == {"mean": mu, "shift": float(shift), "beta": float(beta)}
+
+    def test_poisson_coupling_mean(self):
+        rep = convergence_sweep("poisson-coupling", {"q": Q5, "lam": 2.0}, list(range(10, 101, 10)))
+        for row in rep.rows:
+            d = KempBinomial(row.n, row.auxiliary["theta"], Q5)
+            assert row.auxiliary["mean"] == kb_moments(d).mean
+
+    def test_tv_matches_two_array_form_with_uncaptured_mass(self):
+        leaky = PMFTable(3, np.array([0.25, 0.5, 0.25 - 1e-7]), 1.0 - 1e-7)
+        others = [point_mass(0), point_mass(4), tabulate(Binomial(6, 0.4)), leaky]
+        for a in others:
+            for b in others:
+                assert tv_distance(a, b) == two_array_tv(a, b)
