@@ -218,6 +218,17 @@ def dnorm_alpha(beta) -> float:
     return -0.5 + b
 
 
+def _checked_floor(b: float, c: float, q) -> int:
+    """floor(c + b) with a 1e-9 snap, checked against the case table (0 if b < 1/2, else 1)."""
+    expected = 0 if b < 0.5 else 1
+    computed = math.floor(c + b + 1e-9)
+    if computed != expected:
+        raise ConsistencyError(
+            f"floor(c + beta) = {computed} at beta={b}, q={q}; case table says {expected}"
+        )
+    return computed
+
+
 def floor_case(beta, q) -> int:
     """floor(c(beta, q) + beta), checked against its closed two-case form.
 
@@ -226,14 +237,7 @@ def floor_case(beta, q) -> int:
     disagreement with the case table signals a numerics bug.
     """
     b = _beta_float(beta)
-    expected = 0 if b < 0.5 else 1
-    v = c_direct(b, q) + b
-    computed = math.floor(v + 1e-9)
-    if computed != expected:
-        raise ConsistencyError(
-            f"floor(c + beta) = {computed} at beta={b}, q={q}; case table says {expected}"
-        )
-    return computed
+    return _checked_floor(b, c_direct(b, q), q)
 
 
 def limit_law(beta, q) -> LimitLaw:
@@ -246,10 +250,8 @@ def limit_law(beta, q) -> LimitLaw:
     """
     b = _beta_float(beta)
     q = as_qbase(q)
-    delta = 0 if b < 0.5 else 1
     c = c_direct(b, q)
-    if math.floor(c + b + 1e-9) != delta:  # floor_case's check, on the c computed once here
-        raise ConsistencyError(f"floor(c + beta) != {delta} at beta={b}, q={q}")
+    delta = _checked_floor(b, c, q)
     return LimitLaw(
         beta=b,
         q=q,

@@ -12,6 +12,7 @@ are probed by evaluating at q = eps or q = 1 - eps, never at the endpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -131,6 +132,9 @@ def _lattice_sum(kind: str, a: float, h: float, n) -> float:
     return math.fsum(parts)
 
 
+_LOG_MAX = math.log(sys.float_info.max) + 1e-12  # ScaledReal.to_float's overflow cut
+
+
 @dataclass(frozen=True)
 class ScaledReal:
     """sign * mantissa * q**exponent with mantissa normalized into [1, 1/q).
@@ -177,10 +181,7 @@ class ScaledReal:
 
     @classmethod
     def from_float(cls, x: float, q) -> "ScaledReal":
-        q = as_qbase(q)
-        if x == 0.0:
-            return cls(1, 0.0, 0, q)
-        return cls._make(1, float(x), 0, q)
+        return cls._make(1, float(x), 0, as_qbase(q))
 
     @classmethod
     def from_q_power(cls, p: float, q) -> "ScaledReal":
@@ -219,24 +220,23 @@ class ScaledReal:
         return math.log(self.mantissa) + self.exponent * self.q.log
 
     def to_float(self) -> float:
-        """Nearest binary64 value; +-inf on overflow, 0 on underflow."""
+        """Nearest binary64 value; +-inf above DBL_MAX, 0 on underflow.
+
+        The top two floats below DBL_MAX can still round to +-inf.
+        """
         if self.is_zero:
             return 0.0
         t = self.log_abs()
-        if t > 709.0:
-            return math.inf if self.sign > 0 else -math.inf
         if t < -745.0:
             return 0.0
-        return self.sign * self.mantissa * self.q.value ** self.exponent
+        if t <= _LOG_MAX:  # the slack covers log_abs's rounding
+            try:
+                return self.sign * self.mantissa * self.q.value ** self.exponent
+            except OverflowError:  # q**exponent alone is past DBL_MAX
+                pass
+        return math.inf if self.sign > 0 else -math.inf
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "ScaledReal":
-        if isinstance(other, ScaledReal):
-            if other.q.value != self.q.value:
-                raise ValueError("mixed q bases in ScaledReal arithmetic")
-            return other
-        return ScaledReal.from_float(float(other), self.q)
 
     def q_shift(self, k: int) -> "ScaledReal":
         """Multiply by q**k exactly (integer k)."""
@@ -250,7 +250,10 @@ class ScaledReal:
         return ScaledReal(-self.sign, self.mantissa, self.exponent, self.q)
 
     def __mul__(self, other) -> "ScaledReal":
-        other = self._coerce(other)
+        if not isinstance(other, ScaledReal):
+            other = ScaledReal.from_float(float(other), self.q)
+        elif other.q.value != self.q.value:
+            raise ValueError("mixed q bases in ScaledReal arithmetic")
         if self.is_zero or other.is_zero:
             return ScaledReal.zero(self.q)
         return self._make(
@@ -262,108 +265,62 @@ class ScaledReal:
 
     __rmul__ = __mul__
 
-    def __add__(self, other) -> "ScaledReal":
-        other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        e0 = min(self.exponent, other.exponent)
-        qv = self.q.value
-        va = self.sign * self.mantissa * qv ** (self.exponent - e0)
-        vb = other.sign * other.mantissa * qv ** (other.exponent - e0)
-        return self._make(1, va + vb, e0, self.q)
 
-    __radd__ = __add__
+def _log_pochhammer(z, q: QBase, n=math.inf, guard: float | None = None):
+    """ln|(z; q)_n| = head + E ln q + fsum(sums), returned as (sign, E, head, sums).
 
-    def __sub__(self, other) -> "ScaledReal":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "ScaledReal":
-        return self._coerce(other) + (-self)
-
-    def reciprocal(self) -> "ScaledReal":
-        if self.is_zero:
-            raise ZeroDivisionError("division by ScaledReal zero")
-        return self._make(self.sign, 1.0 / self.mantissa, -self.exponent, self.q)
-
-    def __truediv__(self, other) -> "ScaledReal":
-        return self * self._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other) -> "ScaledReal":
-        return self._coerce(other) * self.reciprocal()
-
-    def __pow__(self, k: int) -> "ScaledReal":
-        if not isinstance(k, int):
-            raise TypeError("ScaledReal exponent must be an integer")
-        if self.is_zero:
-            if k == 0:
-                return ScaledReal.one(self.q)
-            if k < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return self
-        sign = 1 if (self.sign > 0 or k % 2 == 0) else -1
-        return ScaledReal.from_log(sign, k * self.log_abs(), self.q)
-
-
-def _as_scaled(z, q: QBase) -> ScaledReal:
+    z = +-m q^e is a float (m = |z|, e = 0) or a ScaledReal on base q. With
+    h = ln(1/q) and t_i = ln m - (e + i) h, the M factors with t_i >= 0 are
+    e^(t_i) (e^(-t_i) -+ 1): they give q^E with the exact integer
+    E = M e + M(M-1)/2, the exact head = M ln m (a Fraction) and a lattice sum of
+    g(-t_i). The other factors give a lattice sum of g(t_i); g is softplus for
+    z < 0 and log1mexp for z > 0. A zero factor gives sign 0 and sums [-inf];
+    guard raises PoleError when a factor is within guard of zero.
+    """
     if isinstance(z, ScaledReal):
         if z.q.value != q.value:
             raise ValueError("ScaledReal argument carries a different q base")
-        return z
-    return ScaledReal.from_float(float(z), q)
+        s, m, e = z.sign, z.mantissa, z.exponent
+    else:
+        s, m, e = (1 if z > 0.0 else -1), abs(float(z)), 0
+    if m == 0.0 or n == 0:
+        return 1, 0, 0, []
+    h, lm = -q.log, math.log(m)
+    M = min(n, max(0, math.floor(lm / h) - e + 1))  # factors i < M have t_i >= 0
+    t_head, t_tail = lm - (e + M - 1) * h, lm - (e + M) * h  # the two nearest zero
+    if s > 0:
+        near = [t for t, used in ((t_head, M > 0), (t_tail, M < n)) if used]
+        if guard is not None and min(abs(math.expm1(t)) for t in near) < guard:
+            raise PoleError(f"argument z={z!r} within {guard} of a pole q**-i")
+        if (M and t_head <= 0.0) or (M < n and t_tail >= 0.0):  # zero up to rounding
+            return 0, 0, 0, [-math.inf]
+    kind = "log1mexp" if s > 0 else "softplus"
+    sums = [_lattice_sum(kind, t_tail, h, n - M)]
+    if not M:
+        return 1, 0, 0, sums
+    sums.append(_lattice_sum(kind, -t_head, h, M))
+    return -1 if s > 0 and M % 2 else 1, M * e + M * (M - 1) // 2, M * Fraction(lm), sums
 
 
 def q_pochhammer(z, q, n: int) -> ScaledReal:
     """Finite q-shifted factorial (z; q)_n = prod_{i=0}^{n-1} (1 - z q^i).
 
-    z may be a float or a ScaledReal; the result is scaled so the huge
-    dynamic range of e.g. (-theta*q**-n; q)_n stays representable.
+    z may be a float or a ScaledReal; the result carries the exact q-power
+    q^E of the factors above one, so e.g. (-theta*q**-n; q)_n stays
+    representable and E adds no rounding.
     """
     q = as_qbase(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    zs = _as_scaled(z, q)
-    one = ScaledReal.one(q)
-    acc = one
-    for i in range(n):
-        acc = acc * (one - zs.q_shift(i))
-        if acc.is_zero:
-            break
-    return acc
-
-
-def _log_pochhammer_inf(z: float, q: QBase, guard: float | None = None):
-    """(sign, ln|(z; q)_inf|) from lattice sums; sign 0.0 for a zero factor.
-
-    Factor i is 1 - e^{t_i}, t_i = ln z - i h; for the m factors with t_i >= 0,
-    ln(e^t - 1) = t + ln(1 - e^-t). guard raises PoleError when a factor is
-    within guard of zero.
-    """
-    if z == 0.0:
-        return 1.0, 0.0
-    h = -q.log
-    if z < 0.0:
-        return 1.0, _lattice_sum("softplus", math.log(-z), h, math.inf)
-    lz = math.log(z)
-    m = max(0, math.floor(lz / h) + 1)  # factors i < m have z q^i >= 1
-    near = [lz - i * h for i in (m - 1, m) if i >= 0]  # t of the factors nearest zero
-    if guard is not None and min(abs(math.expm1(t)) for t in near) < guard:
-        raise PoleError(f"argument z={z!r} within {guard} of a pole q**-i")
-    if (m and near[0] <= 0.0) or near[-1] >= 0.0:  # a factor is zero up to rounding
-        return 0.0, -math.inf
-    tail = _lattice_sum("log1mexp", lz - m * h, h, math.inf)
-    if not m:
-        return 1.0, tail
-    t_sum = float(m * Fraction(lz) - m * (m - 1) // 2 * Fraction(h))  # exact before rounding
-    return (-1.0) ** m, math.fsum([t_sum, _lattice_sum("log1mexp", -near[0], h, m), tail])
+    sign, E, head, sums = _log_pochhammer(z, q, n)
+    return ScaledReal.from_log(sign, math.fsum([float(head), *sums]), q).q_shift(E)
 
 
 def q_pochhammer_inf(z: float, q) -> float:
     """Infinite product (z; q)_inf, exp of its log from lattice sums."""
     q = as_qbase(q)
-    sign, total = _log_pochhammer_inf(float(z), q)
-    return sign * math.exp(total)
+    sign, E, head, sums = _log_pochhammer(float(z), q)
+    return sign * math.exp(math.fsum([float(head - E * Fraction(-q.log) if E else head), *sums]))
 
 
 def e_q(z: float, q) -> float:
@@ -373,8 +330,8 @@ def e_q(z: float, q) -> float:
     when z approaches a pole q**(-i).
     """
     q = as_qbase(q)
-    sign, total = _log_pochhammer_inf(float(z), q, guard=1e-12)
-    return sign * math.exp(-total)
+    sign, E, head, sums = _log_pochhammer(float(z), q, guard=1e-12)
+    return sign * math.exp(-math.fsum([float(head - E * Fraction(-q.log) if E else head), *sums]))
 
 
 def E_q(z: float, q) -> float:

@@ -1,7 +1,9 @@
 import math
+import random
 
+import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbinomial.qcalc import (
@@ -38,7 +40,11 @@ class TestQBase:
 
 class TestQPochhammer:
     def test_empty_product(self):
-        assert q_pochhammer(0.7, QBase(0.5), 0).to_float() == 1.0
+        q = QBase(0.5)
+        assert q_pochhammer(0.7, q, 0).to_float() == 1.0
+        assert q_pochhammer(ScaledReal.from_float(3.0, q), q, 0).to_float() == 1.0
+        for z in (0.0, ScaledReal.zero(q)):
+            assert q_pochhammer(z, q, 7).to_float() == 1.0
 
     def test_direct_products(self):
         # (1-0.5)(1-0.25) and (2)(1.5)(1.25)
@@ -63,6 +69,83 @@ class TestQPochhammer:
         assert q_pochhammer(z, q, 8).to_float() == pytest.approx(
             q_pochhammer(0.7, q, 8).to_float(), rel=1e-14
         )
+
+    def test_exact_zero_factor(self):
+        # (4; 1/2)_2 = (1 - 4)(1 - 2) = 3; the i = 2 factor 1 - 4/4 is zero
+        q = QBase(0.5)
+        assert q_pochhammer(4.0, q, 2).to_float() == pytest.approx(3.0, rel=1e-14)
+        assert q_pochhammer(4.0, q, 3).is_zero
+
+    def test_other_base_rejected(self):
+        with pytest.raises(ValueError):
+            q_pochhammer(ScaledReal.from_float(0.7, QBase(0.4)), QBase(0.5), 3)
+
+    @pytest.mark.parametrize("qv", [0.5, 0.9, 0.999])
+    def test_million_factors_reach_the_infinite_product(self, qv):
+        q = QBase(qv)
+        got = q_pochhammer(-0.5, q, 10**6).to_float()
+        assert got == pytest.approx(E_q(0.5, q), rel=1e-13)
+
+
+def pochhammer_tol(qv, n):
+    """The fixed tolerance on ln|(z; q)_n|."""
+    return 1e-13 + 1e-14 * n * (1.0 + math.log(1.0 / qv))
+
+
+def check_against_mpmath(z, qv, n):
+    """q_pochhammer vs a 50-digit product of the n factors, z = sign m q^e exactly."""
+    q = QBase(qv)
+    got = q_pochhammer(z, q, n)
+    with mp.workdps(50):
+        qm = mp.mpf(qv)
+        if isinstance(z, ScaledReal):
+            zi = z.sign * mp.mpf(z.mantissa) * qm**z.exponent
+        else:
+            zi = mp.mpf(z)
+        ref = mp.mpf(1)
+        for _ in range(n):
+            ref *= 1 - zi
+            zi *= qm
+        assert got.sign == mp.sign(ref)
+        got_log = mp.log(got.mantissa) + got.exponent * mp.log(qm)
+        assert abs(got_log - mp.log(abs(ref))) <= pochhammer_tol(qv, n)
+
+
+def _float_cases(count, seed=20081):
+    rng = random.Random(seed)
+    cases = []
+    for k in range(count):
+        qv = 10 ** rng.uniform(-8, math.log10(0.999)) if k % 2 else rng.uniform(0.05, 0.999)
+        cases.append(pytest.param(rng.uniform(-5, 5), qv, rng.randint(0, 1000), id=f"A{k}"))
+    return cases
+
+
+def _scaled_cases(seed=20082):
+    rng = random.Random(seed)
+    cases = []
+    for qv in (1e-8, 0.05, 0.5, 0.9, 0.99):
+        for scale in (0.5, 1, 2):
+            for sign, n in ((1, 3000), (-1, 400)):
+                m = rng.uniform(1.0, min(1.0 / qv, 1e8))
+                case = (sign, m, -int(scale * n), qv, n)
+                cases.append(pytest.param(*case, id=f"q{qv}-e{case[2]}-n{n}"))
+    return cases
+
+
+class TestQPochhammerReference:
+    # factor i = 10 is about 5e-6: rounding z into a ScaledReal first costs 5.3e-11 in ln
+    @pytest.mark.parametrize(
+        "z,qv,n",
+        [pytest.param(1.0100526470797924, 0.999, 100, id="crossing"), *_float_cases(40)],
+    )
+    def test_float_argument(self, z, qv, n):
+        check_against_mpmath(z, qv, n)
+
+    # z = +-m q^e with e in {-n/2, -n, -2n}: the factors reach q^-2n, past binary64
+    @pytest.mark.parametrize("sign,m,e,qv,n", _scaled_cases())
+    def test_scaled_argument(self, sign, m, e, qv, n):
+        q = QBase(qv)
+        check_against_mpmath(ScaledReal._make(sign, m, e, q), qv, n)
 
 
 class TestQPochhammerInf:
@@ -147,6 +230,13 @@ class TestQExponentials:
         assert e_q((1 - 0.999) * 1.0, q) == pytest.approx(math.e, abs=0.01)
 
 
+def reflection_log(z, q, n):
+    """ln of q^(n(n-1)/2) z^n prod_{i<n} (1 + q^-i / z), the reflected (-z; q)_n."""
+    lz = z.log_abs()
+    terms = [math.log1p(math.exp(-i * q.log - lz)) for i in range(n)]
+    return math.fsum([n * (n - 1) // 2 * q.log, n * lz, *terms])
+
+
 class TestReflectionIdentity:
     @pytest.mark.parametrize("zv", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [1, 5, 17, 30])
@@ -155,32 +245,21 @@ class TestReflectionIdentity:
         q = QBase(0.5)
         z = ScaledReal.from_float(zv, q)
         lhs = q_pochhammer(-z, q, n)
-        rhs = ScaledReal.one(q).q_shift(n * (n - 1) // 2) * z**n
-        acc = ScaledReal.one(q)
-        one = ScaledReal.one(q)
-        for i in range(n):
-            acc = acc * (one + (z.q_shift(i)).reciprocal())
-        rhs = rhs * acc
-        rel = ((lhs - rhs) / rhs).to_float()
-        assert abs(rel) < 1e-12
+        assert lhs.sign == 1
+        assert abs(lhs.log_abs() - reflection_log(z, q, n)) < 1e-12
 
     def test_reflection_with_huge_argument(self):
         q = QBase(0.5)
         z = ScaledReal.from_float(1.0, q).q_shift(-40)  # q^-40, overflow-prone
         n = 25
         lhs = q_pochhammer(-z, q, n)
-        rhs = ScaledReal.one(q).q_shift(n * (n - 1) // 2) * z**n
-        one = ScaledReal.one(q)
-        for i in range(n):
-            rhs = rhs * (one + (z.q_shift(i)).reciprocal())
-        assert abs(((lhs - rhs) / rhs).to_float()) < 1e-12
+        assert lhs.sign == 1
+        assert abs(lhs.log_abs() - reflection_log(z, q, n)) < 1e-12
 
 
 def test_product_limit_for_convergent_parameters():
     # prod_{i<n} (1 + theta_n q^i) -> E_q(theta) for theta_n = theta + 1/n.
     # The gap is first-order in theta_n - theta, i.e. ~3.6e-4/n-step at n=1e4.
-    import numpy as np
-
     q = QBase(0.5)
     theta = 0.5
     err4 = abs(q_pochhammer(-(theta + 1e-4), q, 10_000).to_float() - E_q(theta, q))
@@ -188,18 +267,18 @@ def test_product_limit_for_convergent_parameters():
     assert err4 < 1e-3
     assert err4 < 0.2 * err3  # gap shrinks like 1/n
 
-    # at n = 4e6 the 1/n rate brings the gap under 1e-6 (factors past i=2000
-    # are below float resolution, so the log-sum truncates there)
+    # at n = 4e6 the 1/n rate brings the gap under 1e-6
     n = 4_000_000
     theta_n = theta + 1.0 / n
-    log_prod = float(np.sum(np.log1p(theta_n * 0.5 ** np.arange(2000))))
-    assert abs(math.exp(log_prod) - E_q(theta, q)) < 1e-6
+    assert abs(q_pochhammer(-theta_n, q, n).to_float() - E_q(theta, q)) < 1e-6
 
 
 class TestScaledReal:
     @settings(max_examples=80, deadline=None)
+    @example(x=1e308, qv=0.5, sign=1.0)
+    @example(x=1e308, qv=0.9, sign=-1.0)
     @given(
-        x=st.floats(min_value=1e-280, max_value=1e280),
+        x=st.floats(min_value=1e-280, max_value=1e308),
         qv=st.floats(0.05, 0.95),
         sign=st.sampled_from([1.0, -1.0]),
     )
@@ -228,16 +307,16 @@ class TestScaledReal:
         a = ScaledReal.from_float(3.0, q)
         b = ScaledReal.from_float(-0.75, q)
         assert (a * b).to_float() == pytest.approx(-2.25, rel=1e-15)
-        assert (a + b).to_float() == pytest.approx(2.25, rel=1e-15)
-        assert (a - b).to_float() == pytest.approx(3.75, rel=1e-15)
-        assert (a / b).to_float() == pytest.approx(-4.0, rel=1e-15)
-        assert (b**3).to_float() == pytest.approx(-0.421875, rel=1e-13)
+        assert (-a).to_float() == -3.0
+        assert (-b).to_float() == 0.75
+        assert (-ScaledReal.zero(q)).is_zero
 
     def test_overflow_free_magnitudes(self):
         q = QBase(0.5)
         huge = ScaledReal.from_float(1.5, q).q_shift(-5000)  # 1.5 * 2^5000
         assert huge.to_float() == math.inf
-        assert (huge * huge.reciprocal()).to_float() == pytest.approx(1.0, rel=1e-15)
+        tiny = ScaledReal.from_float(1 / 1.5, q).q_shift(5000)  # 2^-5000 / 1.5
+        assert (huge * tiny).to_float() == pytest.approx(1.0, rel=1e-15)
 
     def test_mixed_base_rejected(self):
         a = ScaledReal.from_float(1.0, QBase(0.5))
