@@ -1,7 +1,7 @@
 """Asymptotics of the KB mean for sub-exponentially growing shape parameters.
 
-Implements the O(1) mean-shift constant c(beta, q) in both of its
-representations (bilateral geometric series and Fourier/residue series), the
+Implements the O(1) mean-shift constant c(beta, q) as its Fourier/residue
+series (the bilateral geometric series stays as the independent reference), the
 mean expansion mu_n ~ f(n) + c with an explicit error bound, the limiting
 variance series, and the discrete-normal limit laws reached along
 subsequences with constant fractional part beta = {f(n)}.
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import DiscreteNormal, PMFTable, dnorm_table
-from .qcalc import QBase, _lattice_sum, as_qbase, np_sigmoid
+from .qcalc import QBase, _lattice_sum, as_qbase
 
 __all__ = [
     "ConsistencyError",
@@ -26,7 +26,6 @@ __all__ = [
     "MeanAsymptotics",
     "c_direct",
     "c_fourier",
-    "default_fourier_terms",
     "dnorm_alpha",
     "floor_case",
     "limit_law",
@@ -121,39 +120,40 @@ def c_direct(beta, q) -> float:
     c = 1 - 1/(1+q^-beta) - beta + sum_{l>=0} (up_l - down_l), up_l =
     1/(1+q^(-l+beta-1)), down_l = 1/(1+q^(-l-beta-1)). Each pair is one term
     up_l (1 - down_l) (1 - q^(2 beta)), so no two O(1/|log q|) sums cancel;
-    terms stop below 1e-16 * (1-q), keeping the dropped tail under 1e-15.
+    with h = ln(1/q), up_l = z/(1+z), z = e^(-(l+1-beta) h), and 1 - down_l =
+    1/(1 + e^(-(l+1+beta) h)). Terms stop below 1e-16 * (1-q), keeping the
+    dropped tail under 1e-15. The library uses c_fourier; this is its reference.
     """
     b = _beta_float(beta)
     q = as_qbase(q)
     h = -q.log
     count = int(math.ceil((math.log(1e-16) + math.log(1.0 - q.value)) / q.log)) + 3
-    l = np.arange(count)
-    pairs = np_sigmoid(-(l + 1.0 - b) * h) * np_sigmoid((l + 1.0 + b) * h)
+    l = np.arange(1.0, count + 1.0)
+    z = np.exp(-(l - b) * h)
+    pairs = z / (1.0 + z) * (1.0 / (1.0 + np.exp(-(l + b) * h)))
     pairs *= -math.expm1(-2.0 * b * h)
     z = math.exp(-b * h)
     return math.fsum([1.0, -z / (1.0 + z), -b, *pairs.tolist()])
 
 
-def default_fourier_terms(q) -> int:
+def _fourier_terms(q: QBase) -> int:
     """Enough residue terms that the next one is below ~1e-16."""
-    q = as_qbase(q)
     return max(3, math.ceil(-q.log * 40.0 / (2.0 * math.pi**2)) + 2)
 
 
-def c_fourier(f_value: float, q, terms: int) -> float:
+def c_fourier(f_value: float, q) -> float:
     """Residue-series form: 1/2 + sum_k 2 pi sin(2 k f pi)/(log q sinh(2 k pi^2/log q)).
 
-    The sine argument uses the fractional part of f (the series is 1-periodic),
-    so integer f yields exactly 1/2. Coefficients decay like exp(-2 k pi^2 /
-    |log q|); for large arguments sinh is replaced by exp/2 to avoid overflow.
+    The library's c. The sine argument uses the fractional part of f (the
+    series is 1-periodic), so integer f yields exactly 1/2. Coefficients decay
+    like exp(-2 k pi^2 / |log q|), so _fourier_terms(q) = O(|log q|) terms
+    reach ~1e-16; for large arguments sinh is replaced by exp/2 to avoid overflow.
     """
-    if terms < 1:
-        raise ValueError(f"terms must be positive, got {terms}")
     q = as_qbase(q)
     frac = f_value - math.floor(f_value)
     alq = -q.log
     parts = [0.5]
-    for k in range(1, terms + 1):
+    for k in range(1, _fourier_terms(q) + 1):
         a = 2.0 * k * math.pi**2 / alq
         if a > 35.0:
             coef = 4.0 * math.pi / alq * (math.exp(-a) if a < 745.0 else 0.0)
@@ -169,7 +169,7 @@ def _error_constant(q: QBase) -> float:
     return 10.0 / (1.0 - q.value)
 
 
-def mean_expansion(n: int, drift: FractionalDrift, q, terms: int | None = None) -> MeanAsymptotics:
+def mean_expansion(n: int, drift: FractionalDrift, q) -> MeanAsymptotics:
     """Asymptotic mean of KB(n, q^-f(n), q): f(n) + c({f(n)}, q).
 
     error_bound = 10/(1-q) * q^min(f/2, n-f) mirrors the residue-analysis
@@ -179,9 +179,7 @@ def mean_expansion(n: int, drift: FractionalDrift, q, terms: int | None = None) 
     f = drift.value(n)
     if not 0.0 < f < n:
         raise DriftRangeError(f"f({n}) = {f} outside (0, {n})")
-    if terms is None:
-        terms = default_fourier_terms(q)
-    c = c_fourier(f, q, terms)
+    c = c_fourier(f, q)
     bound = _error_constant(q) * q.pow(min(0.5 * f, n - f))
     return MeanAsymptotics(
         f_value=f,
@@ -189,7 +187,7 @@ def mean_expansion(n: int, drift: FractionalDrift, q, terms: int | None = None) 
         c_value=c,
         estimate=f + c,
         error_bound=bound,
-        terms_used=terms,
+        terms_used=_fourier_terms(q),
     )
 
 
@@ -219,25 +217,27 @@ def dnorm_alpha(beta) -> float:
 
 
 def _checked_floor(b: float, c: float, q) -> int:
-    """floor(c + b) with a 1e-9 snap, checked against the case table (0 if b < 1/2, else 1)."""
-    expected = 0 if b < 0.5 else 1
-    computed = math.floor(c + b + 1e-9)
-    if computed != expected:
+    """floor(c + b) from the case table: 0 if b < 1/2, else 1.
+
+    c + b tends to 1 as b rises to 1/2, closer than any snap, so with c good
+    to ~2e-16 it is only checked to lie in [delta, delta + 1] up to 1e-12.
+    """
+    delta = 0 if b < 0.5 else 1
+    if not delta - 1e-12 <= c + b <= delta + 1 + 1e-12:
         raise ConsistencyError(
-            f"floor(c + beta) = {computed} at beta={b}, q={q}; case table says {expected}"
+            f"c + beta = {c + b!r} at beta={b}, q={q}; case table puts it in [{delta}, {delta + 1}]"
         )
-    return computed
+    return delta
 
 
 def floor_case(beta, q) -> int:
     """floor(c(beta, q) + beta), checked against its closed two-case form.
 
-    The floor is 0 for beta < 1/2 and 1 otherwise. The numeric floor is taken
-    with a 1e-9 snap (c + beta hits the integer 1 exactly at beta = 1/2);
-    disagreement with the case table signals a numerics bug.
+    The floor is 0 for beta < 1/2 and 1 otherwise; c + beta outside
+    [floor, floor + 1] (by more than 1e-12) signals a numerics bug.
     """
     b = _beta_float(beta)
-    return _checked_floor(b, c_direct(b, q), q)
+    return _checked_floor(b, c_fourier(b, q), q)
 
 
 def limit_law(beta, q) -> LimitLaw:
@@ -250,7 +250,7 @@ def limit_law(beta, q) -> LimitLaw:
     """
     b = _beta_float(beta)
     q = as_qbase(q)
-    c = c_direct(b, q)
+    c = c_fourier(b, q)
     delta = _checked_floor(b, c, q)
     return LimitLaw(
         beta=b,

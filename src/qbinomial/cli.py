@@ -8,9 +8,7 @@ Exit codes: 0 success, 2 invalid parameters, 1 internal numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import re
@@ -23,7 +21,6 @@ import numpy as np
 from .asymptotics import (
     ConsistencyError,
     FractionalDrift,
-    default_fourier_terms,
     dnorm_alpha,
     limit_law,
     mean_expansion,
@@ -93,12 +90,9 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> str
             "data": rows,
         }
         return json.dumps(doc) + "\n"
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
-    return out.getvalue()
+    # every value is a number or pass/fail, so no CSV field needs quoting
+    lines = [",".join(columns), *(",".join([_fmt(row[c]) for c in columns]) for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +146,9 @@ def _cmd_sample(args) -> tuple:
 def _cmd_asym(args) -> tuple:
     q = QBase(args.q)
     drift = FractionalDrift(Fraction(args.slope), args.offset)
-    terms = args.terms or default_fourier_terms(q)
     rows = []
     for n in parse_n_list(args.n_list):
-        r = mean_expansion(n, drift, q, terms)
+        r = mean_expansion(n, drift, q)
         direct = _kb_mean(KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q))
         rows.append(
             {
@@ -293,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--n-list", required=True)
-    p.add_argument("--terms", type=int)
 
     p = sub.add_parser("limit", help="constant-beta limit law lattice", parents=[flags])
     p.add_argument("--beta", required=True, help="fractional part, float or p/r")

@@ -66,15 +66,6 @@ def as_qbase(q) -> QBase:
     return q if isinstance(q, QBase) else QBase(float(q))
 
 
-def np_sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    z = np.exp(t[~pos])
-    out[~pos] = z / (1.0 + z)
-    return out
-
-
 # The lattice-sum kernel. Terms with |t| < _DIRECT_T are summed directly. Each
 # kind g has g(t) = sum_k c_k e^{kt} for t < 0, and sigmoid(t) = 1 - sigmoid(-t),
 # dsigmoid(t) = dsigmoid(-t), softplus(t) = t + softplus(-t), so one series

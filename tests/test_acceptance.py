@@ -176,7 +176,7 @@ def test_criterion_5_mean_expansion():
     for qv in (0.2, 0.5, 0.8):
         q = QBase(qv)
         for b in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-            assert abs(c_direct(b, q) - c_fourier(b, q, 20)) <= 1e-12
+            assert abs(c_direct(b, q) - c_fourier(b, q)) <= 1e-12
 
 
 # -- 6: Lemmas 3-6 --------------------------------------------------------------
@@ -293,7 +293,7 @@ def test_criterion_9b_c_near_q_one():
 )
 @criterion("9c (q->0 series value at q=1e-3)")
 def test_criterion_9c_series_q_to_0_as_stated():
-    series = c_fourier(0.3, QBase(1e-3), 40) - 0.5
+    series = c_fourier(0.3, QBase(1e-3)) - 0.5
     assert abs(series - (0.5 - 0.3)) <= 1e-2
 
 

@@ -4,12 +4,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from qbinomial import asymptotics
 from qbinomial.asymptotics import (
+    ConsistencyError,
     DriftRangeError,
     FractionalDrift,
     c_direct,
     c_fourier,
-    default_fourier_terms,
     dnorm_alpha,
     floor_case,
     limit_law,
@@ -25,6 +26,8 @@ from qbinomial.distributions import (
 from qbinomial.qcalc import QBase, ScaledReal, _lattice_sum
 
 Q5 = QBase(0.5)
+# betas just below 1/2, where c + beta is within 1e-9 of the integer 1
+BETAS_BELOW_HALF = [0.5 - 1e-9, 0.5 - 1e-14, math.nextafter(0.5, 0.0)]
 
 
 def c_residue_ref(beta: float, q: float, terms: int = 3):
@@ -104,11 +107,11 @@ class TestCDirect:
 
 class TestCFourier:
     def test_integer_f_is_exactly_half(self):
-        assert c_fourier(5.0, Q5, 20) == 0.5
-        assert c_fourier(123.0, QBase(0.2), 20) == 0.5
+        assert c_fourier(5.0, Q5) == 0.5
+        assert c_fourier(123.0, QBase(0.2)) == 0.5
 
     def test_matches_direct_representation(self):
-        assert c_fourier(0.3, Q5, 20) == pytest.approx(
+        assert c_fourier(0.3, Q5) == pytest.approx(
             c_direct(0.3, Q5), abs=1e-12
         )
 
@@ -117,21 +120,17 @@ class TestCFourier:
         # c_fourier takes the full f; the series only sees its fractional part
         q = QBase(qv)
         for b in BETA_GRID:
-            assert abs(c_direct(b, q) - c_fourier(b + 7.0, q, 20)) < 1e-12
+            assert abs(c_direct(b, q) - c_fourier(b + 7.0, q)) < 1e-12
 
     def test_q_to_0_limit_of_series(self):
         # series -> 1/2 - beta; convergence is governed by q^beta, so the
         # regime only opens up around q ~ 1e-8 for beta = 0.3
-        series = c_fourier(0.3, QBase(1e-8), 40) - 0.5
+        series = c_fourier(0.3, QBase(1e-8)) - 0.5
         assert abs(series - 0.2) <= 1e-2
-
-    def test_terms_must_be_positive(self):
-        with pytest.raises(ValueError):
-            c_fourier(0.3, Q5, 0)
 
     def test_no_overflow_near_q_one(self):
         # sinh argument overflows naive evaluation for q -> 1
-        value = c_fourier(0.37, QBase(0.99), default_fourier_terms(QBase(0.99)))
+        value = c_fourier(0.37, QBase(0.99))
         assert math.isfinite(value)
 
 
@@ -221,6 +220,21 @@ class TestFloorCase:
     def test_exact_half_fraction(self):
         assert floor_case(Fraction(1, 2), Q5) == 1
 
+    @pytest.mark.parametrize("qv", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("beta", BETAS_BELOW_HALF)
+    def test_beta_just_below_half(self, beta, qv):
+        assert floor_case(beta, QBase(qv)) == 0
+        assert limit_law(beta, QBase(qv)).delta == 0
+
+    def test_wrong_c_raises(self, monkeypatch):
+        true_c = asymptotics.c_fourier
+        monkeypatch.setattr(asymptotics, "c_fourier", lambda f, q: true_c(f, q) + 0.6)
+        for b in (0.1, 0.3, 0.4999):
+            with pytest.raises(ConsistencyError):
+                floor_case(b, Q5)
+            with pytest.raises(ConsistencyError):
+                limit_law(b, Q5)
+
     def test_chat_strictly_increasing(self):
         # c_hat(beta) = c(beta,q) - 1 + beta increases in beta
         for qv in Q_GRID:
@@ -249,6 +263,22 @@ class TestLimitLaw:
         assert limit_law(0.3, Q5).delta == 0
         assert limit_law(0.5, Q5).delta == 1
         assert limit_law(0.7, Q5).delta == 1
+
+    def test_c_direct_is_only_the_reference(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("library code called c_direct")
+
+        monkeypatch.setattr(asymptotics, "c_direct", refuse)
+        assert limit_law(0.3, Q5).delta == 0
+        assert floor_case(0.7, Q5) == 1
+
+    @pytest.mark.parametrize("qv", [1e-8, 1e-4, 0.05, 0.5, 0.9, 0.999, 0.9999])
+    def test_c_value_against_residue_ref(self, qv):
+        # enough reference terms that the first one dropped is below e^-46
+        terms = int(46.0 * -math.log(qv) / (2.0 * math.pi**2)) + 3
+        for beta in (0.0, 0.13, 0.3, 0.4999, 0.5, 0.5001, 0.9):
+            c = limit_law(beta, QBase(qv)).c_value
+            assert abs(c - c_residue_ref(beta, qv, terms)) < 1e-13
 
     @pytest.mark.parametrize("beta,shift", [(0.0, 1), (0.5, 0)])
     def test_symmetry_for_special_betas(self, beta, shift):

@@ -173,6 +173,13 @@ class TestLimitCommand:
         assert code == 0
         assert float(csv_rows(out)[0]["alpha"]) == pytest.approx(0.8)
 
+    @pytest.mark.parametrize("qv", ["0.05", "0.5", "0.9"])
+    @pytest.mark.parametrize("beta", [0.5 - 1e-9, 0.5 - 1e-14, math.nextafter(0.5, 0.0)])
+    def test_beta_just_below_half(self, capsys, beta, qv):
+        code, out, _ = run_cli(capsys, "limit", "--beta", repr(beta), "--q", qv)
+        assert code == 0
+        assert {r["delta"] for r in csv_rows(out)} == {"0"}
+
 
 class TestSolveThetaCommand:
     def test_mean_inversion(self, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from qbinomial.distributions import (
     Binomial,
@@ -29,7 +30,7 @@ from qbinomial.distributions import (
     reflect,
     sample_by_inversion,
 )
-from qbinomial.qcalc import QBase, ScaledReal, np_sigmoid, q_pochhammer_inf
+from qbinomial.qcalc import QBase, ScaledReal, q_pochhammer_inf
 
 Q5 = QBase(0.5)
 
@@ -46,7 +47,7 @@ def bernoulli_sample(d: KempBinomial, rng, size: int) -> np.ndarray:
 
     Trial i succeeds with probability theta q^i / (1 + theta q^i); O(n) per draw.
     """
-    probs = np_sigmoid(d.log_theta + np.arange(d.n) * d.q.log)
+    probs = expit(d.log_theta + np.arange(d.n) * d.q.log)
     out = np.empty(size, dtype=np.int64)
     step = max(1, (1 << 21) // max(d.n, 1))
     for start in range(0, size, step):
