@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from dataclasses import asdict
@@ -29,7 +28,7 @@ from .distributions import (
     DiscreteNormal,
     Heine,
     KempBinomial,
-    _kb_mean,
+    _logit_sum,
     kb_moments,
     sample_by_inversion,
 )
@@ -124,7 +123,7 @@ def _cmd_pmf(args) -> tuple:
 
 def _cmd_moments(args) -> tuple:
     law = _dist_from_args(args)
-    if isinstance(law, KempBinomial):
+    if isinstance(law, (KempBinomial, Heine)):
         m = kb_moments(law)
         mean, var = m.mean, m.variance
     else:
@@ -149,7 +148,7 @@ def _cmd_asym(args) -> tuple:
     rows = []
     for n in parse_n_list(args.n_list):
         r = mean_expansion(n, drift, q)
-        direct = _kb_mean(KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q))
+        direct = _logit_sum("sigmoid", KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q))
         rows.append(
             {
                 "n": n,
@@ -223,12 +222,12 @@ def _cmd_converge(args) -> tuple:
         params["q_list"] = [float(s) for s in args.q_list.split(",")]
     n_list = parse_n_list(args.n_list) if args.n_list else []
     report = convergence_sweep(args.scenario, params, n_list)
-    keys = report.aux_keys()
+    keys = list(report.rows[0].auxiliary)  # every row of a sweep has the same keys
     rows = [
         {
             "n": r.n,
             "distance": r.distance,
-            **{k: r.auxiliary.get(k, math.nan) for k in keys},
+            **r.auxiliary,
             "threshold": report.threshold,
             "verdict": report.verdict,
         }

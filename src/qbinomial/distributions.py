@@ -122,8 +122,8 @@ class Binomial:
     p: float
 
     def __post_init__(self):
-        if self.n < 0 or not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"invalid binomial parameters ({self.n}, {self.p})")
+        if type(self.n) is not int or self.n < 0 or not 0.0 <= self.p <= 1.0:  # bool is not an n
+            raise ValueError(f"invalid binomial parameters ({self.n!r}, {self.p!r})")
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,8 @@ class Poisson:
     lam: float
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam!r}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -221,38 +221,65 @@ def _normalised_table(offset: int, logw: np.ndarray) -> PMFTable:
 # Kemp q-binomial
 
 
-def kb_log_pmf(d: KempBinomial, x: int) -> float:
-    """ln P(X = x); -inf outside the support {0, ..., n}.
+def _logits(d: KempBinomial | Heine) -> tuple[float, int, int | float]:
+    """(ln m, e, n): d is the sum of n independent Bernoullis with logits t_i = ln m - (e + i) h.
 
-    ln P = ln [n choose x]_q - sum_{i<x} softplus(-t_i) - sum_{x<=i<n} softplus(t_i),
-    two lattice sums whose terms are small near the mode, so nothing cancels.
+    Here i < n and h = ln(1/q): KB(n, m q^e, q) is (ln m, e, n) and H(theta) is
+    (ln theta, 0, inf). At theta = 0 every logit is -inf, so both laws are the sum of
+    no Bernoullis, (0, 0, 0): the point mass at 0, which every evaluator gives at n = 0.
     """
-    if x < 0 or x > d.n:
+    if isinstance(d, Heine):
+        m, e, n = d.theta, 0, math.inf
+    else:
+        m, e, n = d.theta.mantissa, d.theta.exponent, d.n
+    return (math.log(m), e, n) if m else (0.0, 0, 0)
+
+
+def _logit_sum(kind: str, d: KempBinomial | Heine) -> float:
+    """sum_{i<n} g(t_i) over d's logits: the mean for g = sigmoid, the variance for dsigmoid.
+
+    Both are exact Bernoulli-sum identities: trial i succeeds with probability
+    sigmoid(t_i) = theta q^i / (1 + theta q^i).
+    """
+    lm, e, n = _logits(d)
+    h = -d.q.log
+    return _lattice_sum(kind, lm - e * h, h, n)
+
+
+def kb_log_pmf(d: KempBinomial | Heine, x: int) -> float:
+    """ln P(X = x) for KB(n, theta, q) or H(theta) = KB(inf, theta, q); -inf outside {0, ..., n}.
+
+    ln P = ln [n choose x]_q - sum_{i<x} softplus(-t_i) - sum_{x<=i<n} softplus(t_i), two
+    lattice sums whose terms are small near the mode, so nothing cancels. The q-binomial
+    is ln [n choose x]_q = sum_{n-x<j<=n} ln(1 - q^j) - ln (q; q)_x, whose block of
+    ln(1 - q^j) is empty at n = inf.
+    """
+    lm, e, n = _logits(d)
+    if not 0 <= x <= n:
         return -math.inf
-    if d.theta.is_zero:
-        return 0.0 if x == 0 else -math.inf
-    n, q, h = d.n, d.q, -d.q.log
-    t = math.log(d.theta.mantissa) + (d.theta.exponent + x) * q.log  # ln(theta q^x), e + x exact
-    binom = log_qq_factorial(n, q) - log_qq_factorial(x, q) - log_qq_factorial(n - x, q)
+    h = -d.q.log
+    t = lm - (e + x) * h  # ln(theta q^x), e + x exact
+    block = _lattice_sum("log1mexp", (x - n - 1) * h, h, x) if n < math.inf else 0.0
+    binom = block - log_qq_factorial(x, d.q)
     return binom - _lattice_sum("softplus", -t - h, h, x) - _lattice_sum("softplus", t, h, n - x)
 
 
 def kb_pmf(d: KempBinomial, x: int) -> float:
     """P(X = x) for X ~ KB(n, theta, q)."""
-    return math.exp(kb_log_pmf(d, x)) if x >= 0 and x <= d.n else 0.0
+    return math.exp(kb_log_pmf(d, x))
 
 
-def _logit_table(lm: float, e: int, n: int | float, q: QBase, from_zero: bool) -> PMFTable:
-    """Table of the sum of independent Bernoullis with logits t_i = lm - (e + i) h, i < n.
+def _logit_table(d: KempBinomial | Heine, from_zero: bool) -> PMFTable:
+    """Table of the sum of independent Bernoullis with d's logits t_i = lm - (e + i) h, i < n.
 
-    That is KB(n, m q^e, q) with m = e^lm, or with n = inf the Heine law H(m q^e).
     l(x) = ln P(x+1)/P(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) falls by h = ln(1/q)
     or more per step. The mode, the first x with l(x) <= 0, is found by bisection;
     the entries are sums of l outward from it, on mode +- K clipped to {0, ..., n},
     or on {0, ..., mode + K} when from_zero. With e + x an exact integer, t_x has
     no cancellation even where theta ~ q^(-n).
     """
-    h = -q.log
+    lm, e, n = _logits(d)
+    q, h = d.q, -d.q.log
 
     def log_ratio(x: int) -> float:
         return lm - (e + x) * h + math.log(math.expm1((x - n) * h) / math.expm1(-(x + 1) * h))
@@ -277,27 +304,16 @@ def _logit_table(lm: float, e: int, n: int | float, q: QBase, from_zero: bool) -
 
 def kb_table(d: KempBinomial) -> PMFTable:
     """Table on the window mode +- K of {0, ..., n}, in O(K + log n)."""
-    if d.theta.is_zero:
-        return PMFTable(0, np.array([1.0]), 1.0)
-    return _logit_table(math.log(d.theta.mantissa), d.theta.exponent, d.n, d.q, from_zero=False)
+    return _logit_table(d, from_zero=False)
 
 
-def kb_moments(d: KempBinomial) -> MomentPair:
-    """Mean and variance of KB(n, theta, q).
+def kb_moments(d: KempBinomial | Heine) -> MomentPair:
+    """Mean and variance of KB(n, theta, q), or of H(theta) = KB(inf, theta, q).
 
     mean = sum_i theta q^i / (1 + theta q^i), variance replaces the
     denominator by its square; both are exact Bernoulli-sum identities.
     """
-    if d.theta.is_zero or d.n == 0:
-        return MomentPair(0.0, 0.0)
-    return MomentPair(_kb_mean(d), _lattice_sum("dsigmoid", d.log_theta, -d.q.log, d.n))
-
-
-def _kb_mean(d: KempBinomial) -> float:
-    """kb_moments(d).mean without the variance sum."""
-    if d.theta.is_zero or d.n == 0:
-        return 0.0
-    return _lattice_sum("sigmoid", d.log_theta, -d.q.log, d.n)
+    return MomentPair(_logit_sum("sigmoid", d), _logit_sum("dsigmoid", d))
 
 
 def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None):
@@ -309,29 +325,17 @@ def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None
 
 
 # ---------------------------------------------------------------------------
-# Heine
+# Heine: KB(inf, theta, q)
 
 
 def heine_pmf(d: Heine, x: int) -> float:
-    """P(X = x) = q^{x(x-1)/2} theta^x / (q,q)_x * e_q(-theta); 0 for x < 0."""
-    if x < 0:
-        return 0.0
-    if d.theta == 0.0:
-        return 1.0 if x == 0 else 0.0
-    logp = (
-        0.5 * x * (x - 1) * d.q.log
-        + x * math.log(d.theta)
-        - log_qq_factorial(x, d.q)
-        - _lattice_sum("softplus", math.log(d.theta), -d.q.log, math.inf)  # ln e_q(-theta)
-    )
-    return math.exp(logp)
+    """P(X = x) = q^{x(x-1)/2} theta^x / (q,q)_x * e_q(-theta), from kb_log_pmf at n = inf."""
+    return math.exp(kb_log_pmf(d, x))
 
 
 def heine_mean(d: Heine) -> float:
     """Mean of H(theta): sum_{i>=0} theta q^i / (1 + theta q^i), a sigmoid lattice sum."""
-    if d.theta == 0.0:
-        return 0.0
-    return _lattice_sum("sigmoid", math.log(d.theta), -d.q.log, math.inf)
+    return _logit_sum("sigmoid", d)
 
 
 def heine_table(d: Heine) -> PMFTable:
@@ -339,9 +343,7 @@ def heine_table(d: Heine) -> PMFTable:
 
     The window starts at 0 whatever the mode, so offset is always 0.
     """
-    if d.theta == 0.0:
-        return PMFTable(0, np.array([1.0]), 1.0)
-    return _logit_table(math.log(d.theta), 0, math.inf, d.q, from_zero=True)
+    return _logit_table(d, from_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +407,10 @@ def poisson_table(law: Poisson) -> PMFTable:
     """Table on {0, ..., X}, X = ceil(lam + d) with d = T/3 + sqrt(T^2/9 + 2 T lam), T = 760.
 
     Bernstein's bound P(X >= lam + d) <= exp(-d^2 / (2 (lam + d/3))) is e^-760 at that
-    d, so the omitted tail is 0.0 in binary64.
+    d, so the omitted tail is 0.0 in binary64. Poisson(0) is the point mass at 0.
     """
     T = 760.0
-    last = math.ceil(law.lam + T / 3.0 + math.sqrt(T * T / 9.0 + 2.0 * T * law.lam))
+    last = math.ceil(law.lam + T / 3.0 + math.sqrt(T * T / 9.0 + 2.0 * T * law.lam)) if law.lam else 0
     return _normalised_table(0, np.array([_poisson_log_pmf(law.lam, x) for x in range(last + 1)]))
 
 

@@ -23,7 +23,7 @@ from .distributions import (
     KempBinomial,
     PMFTable,
     Poisson,
-    _kb_mean,
+    _logit_sum,
     binomial_table,
     dnorm_table,
     heine_table,
@@ -71,14 +71,6 @@ class SweepReport:
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
-    def aux_keys(self) -> list:
-        keys: list = []
-        for row in self.rows:
-            for k in row.auxiliary:
-                if k not in keys:
-                    keys.append(k)
-        return keys
-
 
 def tabulate(law) -> PMFTable:
     """Finite table for any supported law; a PMFTable is passed through."""
@@ -99,14 +91,13 @@ def tabulate(law) -> PMFTable:
     raise TypeError(f"cannot tabulate {law!r}")
 
 
-def _union_arrays(a: PMFTable, b: PMFTable):
+def _gap(a: PMFTable, b: PMFTable) -> np.ndarray:
+    """a - b, entry by entry, on the union lattice min(offsets), ..., max(lasts)."""
     lo = min(a.offset, b.offset)
-    hi = max(a.last, b.last)
-    pa = np.zeros(hi - lo + 1)
-    pb = np.zeros(hi - lo + 1)
-    pa[a.offset - lo : a.offset - lo + len(a)] = a.probs
-    pb[b.offset - lo : b.offset - lo + len(b)] = b.probs
-    return pa, pb
+    gap = np.zeros(max(a.last, b.last) - lo + 1)
+    gap[a.offset - lo : a.offset - lo + len(a)] = a.probs
+    gap[b.offset - lo : b.offset - lo + len(b)] -= b.probs
+    return gap
 
 
 def tv_distance(a: PMFTable, b: PMFTable) -> float:
@@ -115,18 +106,13 @@ def tv_distance(a: PMFTable, b: PMFTable) -> float:
     core is half the l1 gap on the union lattice and u a table's uncaptured mass;
     that mass may sit anywhere, so the true TV lies within (u_a + u_b)/2 of core.
     """
-    lo = min(a.offset, b.offset)
-    gap = np.zeros(max(a.last, b.last) - lo + 1)
-    gap[a.offset - lo : a.offset - lo + len(a)] = a.probs
-    gap[b.offset - lo : b.offset - lo + len(b)] -= b.probs
-    core = 0.5 * math.fsum(np.abs(gap).tolist())
+    core = 0.5 * math.fsum(np.abs(_gap(a, b)).tolist())
     return min(1.0, core + 0.5 * ((1.0 - a.captured_mass) + (1.0 - b.captured_mass)))
 
 
 def kolmogorov_distance(a: PMFTable, b: PMFTable) -> float:
     """Max CDF gap over the union lattice."""
-    pa, pb = _union_arrays(a, b)
-    return float(np.max(np.abs(np.cumsum(pa) - np.cumsum(pb))))
+    return float(np.max(np.abs(np.cumsum(_gap(a, b)))))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +146,7 @@ def _sweep_poisson(q: QBase, params: dict, n_list) -> list:
             ConvergenceRow(
                 n,
                 tv_distance(kb_table(d), limit),
-                {"theta": theta, "mean": _kb_mean(d)},
+                {"theta": theta, "mean": _logit_sum("sigmoid", d)},
             )
         )
     return rows
@@ -209,7 +195,7 @@ def _sweep_subexponential(q: QBase, params: dict, n_list) -> list:
         if not 0.0 < f < n:
             raise ValueError(f"f({n}) = {f} outside (0, n)")
         d = KempBinomial(n, ScaledReal.from_q_power(-f, q), q)
-        mu = _kb_mean(d)
+        mu = _logit_sum("sigmoid", d)
         up = half and 2 * (drift.slope * n + exact_offset) > n - 1
         shift = math.ceil(mu) if up else math.floor(mu)
         rows.append(
@@ -231,7 +217,7 @@ def _sweep_reflection(q: QBase, params: dict, n_list) -> list:
         d = KempBinomial(n, dual_base.q_shift(-n), q)
         reflected = reflect(kb_table(d), n)
         exact = kb_table(KempBinomial(n, q.value / theta, q))
-        gap = np.subtract(*_union_arrays(reflected, exact))  # windows may differ at a tied mode
+        gap = _gap(reflected, exact)  # windows may differ at a tied mode
         rows.append(
             ConvergenceRow(
                 n,

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 import qbinomial
 from qbinomial.cli import _build_parser, main, parse_n_list, parse_theta
-from qbinomial.distributions import KempBinomial, kb_moments
+from qbinomial.distributions import Heine, KempBinomial, heine_mean, kb_moments
 from qbinomial.qcalc import QBase, ScaledReal
 
 
@@ -102,6 +103,18 @@ class TestMomentsCommand:
         assert float(csv_rows(out)[0]["mean"]) == pytest.approx(
             heine_mean(Heine(0.5, QBase(0.5))), abs=1e-10
         )
+
+    @pytest.mark.parametrize("theta, qv", [("0.5782", 0.3), ("2.2346", 0.7), ("0.9287", 0.5)])
+    def test_heine_from_lattice_sums(self, capsys, theta, qv):
+        code, out, _ = run_cli(capsys, "moments", "--dist", "heine", "--theta", theta, "--q", str(qv))
+        assert code == 0
+        row = csv_rows(out)[0]
+        assert float(row["mean"]) == heine_mean(Heine(float(theta), QBase(qv)))
+        with mp.workdps(40):
+            p = [1 / (1 + 1 / (mp.mpf(float(theta)) * mp.mpf(qv) ** i)) for i in range(400)]
+            mean, var = mp.fsum(p), mp.fsum(x * (1 - x) for x in p)
+        assert float(row["mean"]) == pytest.approx(float(mean), rel=4 * 2.0**-52, abs=0.0)
+        assert float(row["variance"]) == pytest.approx(float(var), rel=4 * 2.0**-52, abs=0.0)
 
     def test_dnorm_symmetric_mean(self, capsys):
         code, out, _ = run_cli(

@@ -12,6 +12,7 @@ from qbinomial.distributions import (
     DiscreteNormal,
     Heine,
     KempBinomial,
+    MomentPair,
     PMFTable,
     Poisson,
     SupportError,
@@ -21,6 +22,7 @@ from qbinomial.distributions import (
     heine_mean,
     heine_pmf,
     heine_table,
+    kb_log_pmf,
     kb_moments,
     kb_pmf,
     kb_sample,
@@ -62,6 +64,29 @@ def window_half_width(q: QBase) -> int:
     while -q.log * K * (K - 1) / 2 < 760.0:
         K += 1
     return K
+
+
+def heine_pmf_mp(theta: float, q: float, x: int) -> mp.mpf:
+    """P(X = x) of H(theta) at 40 digits, as 1 / sum_y P(y)/P(x) over y = x +- W.
+
+    P(y+1)/P(y) = theta q^y / (1 - q^(y+1)), so no normaliser is needed. With x the
+    mode, P(x +- k)/P(x) <= q^(k(k-1)/2), below e^-110 past W = sqrt(220/ln(1/q)) + 2.
+    """
+    with mp.workdps(40):
+        lt, lq = mp.log(theta), mp.log(q)
+        width = math.ceil(math.sqrt(220 / -math.log(q))) + 2
+
+        def log_ratio(y):
+            return lt + y * lq - mp.log(-mp.expm1((y + 1) * lq))
+
+        total, up, down = mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        for k in range(width):
+            up += log_ratio(x + k)
+            total += mp.exp(up)
+            if x - 1 - k >= 0:
+                down -= log_ratio(x - 1 - k)
+                total += mp.exp(down)
+        return 1 / total
 
 
 def kb_log_pmf_mp(d: KempBinomial, xs) -> dict:
@@ -273,6 +298,21 @@ class TestHeine:
         d = Heine((1 - 0.999) * 1.0, q)
         assert heine_pmf(d, 0) == pytest.approx(math.exp(-1.0), abs=1e-3)
 
+    @pytest.mark.parametrize("qv, theta", [(0.99, 1e6), (0.999, 1e30), (0.5, 1e200)])
+    def test_pmf_at_mode_large_theta(self, qv, theta):
+        # x ln theta and ln e_q(-theta) are 2e4 to 5e6 here, so a pmf that formed
+        # both and cancelled them would miss by 1e-12 to 1e-10
+        d = Heine(theta, QBase(qv))
+        mode = int(np.argmax(heine_table(d).probs))
+        assert heine_pmf(d, mode) == pytest.approx(float(heine_pmf_mp(theta, qv, mode)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [1.0, 4.0, 1e3])
+    def test_is_kb_at_large_n(self, theta):
+        # q^n underflows at n = 1e6, so KB(n, theta, q) is H(theta) in binary64
+        d = Heine(theta, Q5)
+        for x in range(11):
+            assert kb_pmf(KempBinomial(10**6, theta, Q5), x) == pytest.approx(heine_pmf(d, x), rel=1e-14, abs=0.0)
+
     def test_mean_zero_theta(self):
         assert heine_mean(Heine(0.0, Q5)) == 0.0
 
@@ -338,6 +378,21 @@ class TestHeine:
                 log_qq = mp.fsum(mp.log(-mp.expm1(i * lq)) for i in range(1, x + 1))
                 ref = mp.exp(mp.mpf(x) * (x - 1) / 2 * lq + x * mp.log(theta) - log_qq - log_norm)
                 assert heine_pmf(d, x) == pytest.approx(float(ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [KempBinomial(10, 0.0, Q5), KempBinomial(0, 2.0, Q5)])
+def test_kb_point_mass(d):
+    assert kb_log_pmf(d, 0) == 0.0 and kb_log_pmf(d, 1) == -math.inf
+    assert kb_pmf(d, 0) == 1.0 and kb_pmf(d, 1) == 0.0
+    assert kb_moments(d) == MomentPair(0.0, 0.0)
+    assert (kb_table(d).offset, kb_table(d).probs.tolist()) == (0, [1.0])
+
+
+def test_heine_zero_theta_is_point_mass():
+    d = Heine(0.0, Q5)
+    assert heine_pmf(d, 0) == 1.0 and heine_pmf(d, 1) == 0.0
+    assert heine_mean(d) == 0.0 and kb_moments(d) == MomentPair(0.0, 0.0)
+    assert (heine_table(d).offset, heine_table(d).probs.tolist()) == (0, [1.0])
 
 
 class TestDiscreteNormal:
@@ -409,6 +464,10 @@ class TestReferenceLaws:
     def test_poisson_table_mass(self):
         t = poisson_table(Poisson(3.0))
         assert t.captured_mass >= 1 - 1e-12
+
+    def test_poisson_zero_is_point_mass(self):
+        t = poisson_table(Poisson(0.0))
+        assert (t.offset, t.probs.tolist()) == (0, [1.0])
 
 
 class TestInversionSampling:
@@ -494,6 +553,17 @@ class TestValidation:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             KempBinomial(-1, 1.0, Q5)
+
+    # only rejected values: a table for a huge finite lambda or n holds O(lambda) or O(n) entries
+    @pytest.mark.parametrize("lam", [math.inf, -1.0, math.nan])
+    def test_poisson_rejects(self, lam):
+        with pytest.raises(ValueError):
+            Poisson(lam)
+
+    @pytest.mark.parametrize("n, p", [(2.5, 0.3), (True, 0.5), (-1, 0.5), (3, 1.5)])
+    def test_binomial_rejects(self, n, p):
+        with pytest.raises(ValueError):
+            Binomial(n, p)
 
     def test_table_rejects_negative_probs(self):
         with pytest.raises(ValueError):
