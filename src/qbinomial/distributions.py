@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +60,19 @@ class SupportError(ValueError):
 # parameter records
 
 
+class _CacheOwner:
+    """A dataclass whose pickles and copies are rebuilt from its fields by the constructor.
+
+    So they are validated again and start without the cached_property values of the
+    original: a cache lives exactly as long as its object.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class KempBinomial:
+class KempBinomial(_CacheOwner):
     """KB(n, theta, q): trial count n >= 0, shape theta >= 0, base q in (0,1).
 
     theta may be given as a plain float or a ScaledReal; it is stored scaled.
@@ -74,7 +86,7 @@ class KempBinomial:
     def __post_init__(self):
         q = as_qbase(self.q)
         object.__setattr__(self, "q", q)
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:  # bool is not an n
             raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
         th = self.theta
         if not isinstance(th, ScaledReal):
@@ -88,6 +100,11 @@ class KempBinomial:
     @property
     def log_theta(self) -> float:
         return self.theta.log_abs()
+
+    @cached_property
+    def _table(self) -> "PMFTable":
+        """kb_table(self), built on first use and kept for the life of this law."""
+        return kb_table(self)
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,7 @@ class MomentPair:
 
 
 @dataclass(frozen=True, eq=False)
-class PMFTable:
+class PMFTable(_CacheOwner):
     """Probabilities on the lattice window offset, offset+1, ...
 
     captured_mass is the window's total probability. The builders here cut every
@@ -160,6 +177,9 @@ class PMFTable:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
+        if p.flags.writeable:  # the caller may still hold it: copy, so its edits cannot stale _cdf
+            p = p.copy()
+            p.flags.writeable = False
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty 1-d array")
@@ -176,6 +196,13 @@ class PMFTable:
     @property
     def last(self) -> int:
         return self.offset + self.probs.size - 1
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """Read-only cumulative sums of the read-only probs, kept from the first draw."""
+        cdf = np.cumsum(self.probs)
+        cdf.flags.writeable = False
+        return cdf
 
     def x_values(self) -> np.ndarray:
         return np.arange(self.offset, self.offset + self.probs.size)
@@ -214,6 +241,7 @@ def _normalised_table(offset: int, logw: np.ndarray) -> PMFTable:
     """
     probs = np.exp(logw)
     probs /= probs.sum()
+    probs.flags.writeable = False  # PMFTable keeps it without a copy
     return PMFTable(offset, probs, 1.0)
 
 
@@ -319,9 +347,10 @@ def kb_moments(d: KempBinomial | Heine) -> MomentPair:
 def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None):
     """Draw from KB(n, theta, q) by inversion of kb_table; deterministic per seed.
 
+    The table is built on d's first draw and kept by d, so later draws cost O(log K).
     Returns an int for size=None, otherwise an int64 array of that length.
     """
-    return sample_by_inversion(kb_table(d), rng, size)
+    return sample_by_inversion(d._table, rng, size)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +457,13 @@ def sample_by_inversion(t: PMFTable, rng: np.random.Generator, size: int | None 
         raise TableMassError(
             f"table captures only {t.captured_mass}; need >= 1 - 1e-12"
         )
-    cdf = np.cumsum(t.probs)
     if size is None:
-        i = int(np.searchsorted(cdf, rng.random(), side="right"))
+        i = int(np.searchsorted(t._cdf, rng.random(), side="right"))
         return t.offset + min(i, t.probs.size - 1)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    return t.offset + np.minimum(idx, t.probs.size - 1).astype(np.int64)
+    idx = np.searchsorted(t._cdf, rng.random(size), side="right")
+    np.minimum(idx, t.probs.size - 1, out=idx)
+    idx += t.offset
+    return idx.astype(np.int64, copy=False)
 
 
 def reflect(t: PMFTable, n: int) -> PMFTable:
@@ -442,4 +472,4 @@ def reflect(t: PMFTable, n: int) -> PMFTable:
         raise SupportError(
             f"support [{t.offset}, {t.last}] not contained in [0, {n}]"
         )
-    return t._moved(n - t.last, t.probs[::-1].copy())
+    return t._moved(n - t.last, t.probs[::-1])  # a view of read-only probs is read-only

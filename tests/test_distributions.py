@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import qbinomial.distributions as D
 from qbinomial.distributions import (
     Binomial,
     DiscreteNormal,
@@ -17,6 +19,7 @@ from qbinomial.distributions import (
     Poisson,
     SupportError,
     TableMassError,
+    binomial_table,
     dnorm_pmf,
     dnorm_table,
     heine_mean,
@@ -523,6 +526,104 @@ class TestReflect:
         assert np.max(np.abs(lhs.probs - rhs.probs)) < 1e-12
 
 
+def _law_grid(count: int, seed: int) -> list:
+    """Seeded KB laws: n log-uniform in [1, 1e5], q in [0.05, 0.999], theta constant or ~ q^-(s n)."""
+    rng = np.random.default_rng(seed)
+    laws = []
+    for k in range(count):
+        n = int(math.exp(rng.uniform(0.0, math.log(1e5))))
+        q = QBase(float(rng.uniform(0.05, 0.999)))
+        if k % 2:
+            theta = ScaledReal.from_q_power(-float(rng.uniform(0.1, 0.9)) * n, q)
+        else:
+            theta = float(math.exp(rng.uniform(-3.0, 3.0)))
+        laws.append(KempBinomial(n, theta, q))
+    return laws
+
+
+class TestSamplingTableCache:
+    """A law's table and a table's cumulative sums are built on first use and kept."""
+
+    def test_law_tabulated_once(self, monkeypatch):
+        builds = []
+        build = D.kb_table
+        monkeypatch.setattr(D, "kb_table", lambda d: builds.append(d) or build(d))
+        d = KempBinomial(20, 1.3, QBase(0.6))
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            kb_sample(d, rng)
+        kb_sample(d, rng, size=50)
+        kb_sample(d, rng, size=50)
+        assert len(builds) == 1
+
+    def test_golden_draws(self):
+        d = KempBinomial(20, 1.3, QBase(0.6))
+        rng = np.random.default_rng(42)
+        assert [kb_sample(d, rng) for _ in range(5)] == [3, 2, 3, 2, 1]
+        assert kb_sample(d, np.random.default_rng(42), size=8).tolist() == [3, 2, 3, 2, 1, 4, 3, 3]
+        t = heine_table(Heine(0.5, Q5))
+        assert sample_by_inversion(t, np.random.default_rng(11), size=8).tolist() == [0, 1, 1, 0, 0, 2, 0, 0]
+        t = dnorm_table(DiscreteNormal(0.3, Q5))
+        assert sample_by_inversion(t, np.random.default_rng(5), size=8).tolist() == [1, 1, 0, 0, -2, 0, 0, -2]
+
+    @pytest.mark.parametrize("d", _law_grid(30, 20261019), ids=repr)
+    def test_draws_equal_fresh_inversion(self, d):
+        t = kb_table(d)
+        cdf = np.cumsum(t.probs)
+
+        def fresh(rng, size):
+            i = np.searchsorted(cdf, rng.random(size), side="right")
+            return t.offset + np.minimum(i, len(t) - 1).astype(np.int64)
+
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):
+            v = kb_sample(d, a)
+            assert type(v) is int and v == int(fresh(b, None))
+        for size in (1, 257):
+            v = kb_sample(d, a, size=size)
+            assert v.dtype == np.int64 and np.array_equal(v, fresh(b, size))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: kb_table(KempBinomial(30, 2.0, Q5)),
+            lambda: reflect(kb_table(KempBinomial(30, 2.0, Q5)), 30),
+            lambda: heine_table(Heine(1.5, Q5)),
+            lambda: dnorm_table(DiscreteNormal(0.3, Q5)),
+            lambda: binomial_table(Binomial(12, 0.3)),
+            lambda: poisson_table(Poisson(2.0)),
+            lambda: PMFTable(0, np.array([0.25, 0.75]), 1.0),
+        ],
+    )
+    def test_tables_read_only(self, build):
+        t = build()
+        sample_by_inversion(t, np.random.default_rng(0), size=4)
+        with pytest.raises(ValueError):
+            t.probs[0] = 0.5
+        with pytest.raises(ValueError):
+            t._cdf[0] = 0.5
+
+    def test_table_copies_a_writeable_array(self):
+        probs = np.array([0.5, 0.5])
+        t = PMFTable(0, probs, 1.0)
+        before = sample_by_inversion(t, np.random.default_rng(0), size=64)
+        probs[:] = [1.0, 0.0]
+        assert t.probs.tolist() == [0.5, 0.5]
+        assert np.array_equal(sample_by_inversion(t, np.random.default_rng(0), size=64), before)
+
+    def test_sampled_law_equals_hashes_and_pickles_like_unsampled(self):
+        sampled, fresh = KempBinomial(20, 1.3, QBase(0.6)), KempBinomial(20, 1.3, QBase(0.6))
+        kb_sample(sampled, np.random.default_rng(0))
+        assert sampled == fresh and hash(sampled) == hash(fresh) and repr(sampled) == repr(fresh)
+        assert pickle.dumps(sampled) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(sampled))
+        assert back == fresh and "_table" not in vars(back)
+        t = sampled._table
+        assert pickle.dumps(t) == pickle.dumps(kb_table(fresh))
+        back = pickle.loads(pickle.dumps(t))
+        assert "_cdf" not in vars(back) and not back.probs.flags.writeable
+
+
 class TestSamplerGoodnessOfFit:
     def test_chi_square_significance(self):
         scipy_stats = pytest.importorskip("scipy.stats")
@@ -553,6 +654,10 @@ class TestValidation:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             KempBinomial(-1, 1.0, Q5)
+
+    def test_bool_n_rejected(self):
+        with pytest.raises(ValueError):
+            KempBinomial(True, 1.0, Q5)
 
     # only rejected values: a table for a huge finite lambda or n holds O(lambda) or O(n) entries
     @pytest.mark.parametrize("lam", [math.inf, -1.0, math.nan])
