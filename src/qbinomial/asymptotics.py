@@ -3,8 +3,8 @@
 Implements the O(1) mean-shift constant c(beta, q) as its Fourier/residue
 series (the bilateral geometric series stays as the independent reference), the
 mean expansion mu_n ~ f(n) + c with an explicit error bound, the limiting
-variance series, and the discrete-normal limit laws reached along
-subsequences with constant fractional part beta = {f(n)}.
+variance (a lattice series or its Mellin dual), and the discrete-normal limit
+laws reached along subsequences with constant fractional part beta = {f(n)}.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import DiscreteNormal, PMFTable, dnorm_table
-from .qcalc import QBase, _lattice_sum, as_qbase
+from .qcalc import _ALT, _DIRECT_T, _K, _SERIES_DECAY, QBase, _lattice_sum, _one_minus_q_pow, as_qbase
 
 __all__ = [
     "ConsistencyError",
@@ -117,23 +117,22 @@ def _beta_float(beta) -> float:
 def c_direct(beta, q) -> float:
     """Mean-shift constant c(beta, q) from its bilateral series form.
 
-    c = 1 - 1/(1+q^-beta) - beta + sum_{l>=0} (up_l - down_l), up_l =
-    1/(1+q^(-l+beta-1)), down_l = 1/(1+q^(-l-beta-1)). Each pair is one term
-    up_l (1 - down_l) (1 - q^(2 beta)), so no two O(1/|log q|) sums cancel;
-    with h = ln(1/q), up_l = z/(1+z), z = e^(-(l+1-beta) h), and 1 - down_l =
-    1/(1 + e^(-(l+1+beta) h)). Terms stop below 1e-16 * (1-q), keeping the
-    dropped tail under 1e-15. The library uses c_fourier; this is its reference.
+    c = 1 - 1/(1+q^-beta) - beta + sum_{l>=1} (up_l - down_l), with h = ln(1/q),
+    x_l = e^(-(l-beta) h), r = q^(2 beta), up_l = x_l/(1+x_l) and down_l = r x_l/(1+r x_l).
+    Each pair is one term x_l/(1+x_l) (1-r)/(1+r x_l), so no two O(1/h) sums
+    cancel; it is summed directly while (l-beta) h < 1, and the rest is the
+    kernel's Euler closure sum_k (-1)^(k-1) (1-r^k) x_L^k/(1-q^k), at most 46
+    terms. The library uses c_fourier; this is its reference.
     """
     b = _beta_float(beta)
-    q = as_qbase(q)
-    h = -q.log
-    count = int(math.ceil((math.log(1e-16) + math.log(1.0 - q.value)) / q.log)) + 3
-    l = np.arange(1.0, count + 1.0)
-    z = np.exp(-(l - b) * h)
-    pairs = z / (1.0 + z) * (1.0 / (1.0 + np.exp(-(l + b) * h)))
-    pairs *= -math.expm1(-2.0 * b * h)
+    h = -as_qbase(q).log
+    L = math.ceil(b + _DIRECT_T / h)  # the first l with (l - b) h >= _DIRECT_T
+    x = np.exp((b - np.arange(1.0, L)) * h)
+    pairs = x / (1.0 + x) * (-math.expm1(-2.0 * b * h) / (1.0 + math.exp(-2.0 * b * h) * x))
+    k = _K[: 1 + math.ceil(_SERIES_DECAY / ((L - b) * h))]
+    tail = -np.expm1(-2.0 * b * h * k) * np.exp((b - L) * h * k) / _one_minus_q_pow(h)[: k.size]
     z = math.exp(-b * h)
-    return math.fsum([1.0, -z / (1.0 + z), -b, *pairs.tolist()])
+    return math.fsum(np.concatenate(([1.0, -z / (1.0 + z), -b], pairs, _ALT[: k.size] * tail)).tolist())
 
 
 def _fourier_terms(q: QBase) -> int:
@@ -196,10 +195,21 @@ def sigma_limit(beta, q) -> float:
 
     Both halves of the finite variance split, extended to infinite range:
     sum_{i>=0} q^(-beta-i)/(1+q^(-beta-i))^2 + sum_{i>=0} q^(i+1-beta)/(1+q^(i+1-beta))^2,
-    two dsigmoid lattice sums.
+    two dsigmoid lattice sums. By Poisson summation (the Mellin dual) it is also
+    (1/h) [1 + 2 sum_k a_k/sinh(a_k) cos(2 pi k beta)], a_k = 2 pi^2 k/h, h = ln(1/q),
+    whose terms fall like e^(-a_k) where the lattice's fall like e^(-h): the dual
+    is used for h < pi sqrt 2, with _fourier_terms(q) terms.
     """
     b = _beta_float(beta)
-    h = -as_qbase(q).log
+    q = as_qbase(q)
+    h = -q.log
+    if h < math.pi * math.sqrt(2.0):
+        parts = [1.0]
+        for k in range(1, _fourier_terms(q) + 1):
+            a = 2.0 * k * math.pi**2 / h
+            coef = 4.0 * a * math.exp(-a) / -math.expm1(-2.0 * a)  # 2 a/sinh(a), never overflows
+            parts.append(coef * math.cos(2.0 * k * math.pi * b))
+        return math.fsum(parts) / h
     return math.fsum([
         _lattice_sum("dsigmoid", -b * h, h, math.inf),
         _lattice_sum("dsigmoid", -(1.0 - b) * h, h, math.inf),

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -90,6 +89,12 @@ def _one_minus_q_pow(h: float) -> np.ndarray:
     return out
 
 
+def _fold(M: int, x: float, E: int, h: float) -> float:
+    """M x - E h, exact before its one rounding (int / int rounds correctly)."""
+    (a, b), (c, d) = x.as_integer_ratio(), h.as_integer_ratio()
+    return (M * a * d - E * c * b) / (b * d)
+
+
 def _lattice_sum(kind: str, a: float, h: float, n) -> float:
     """sum_{i<n} g(a - i h) for h > 0 and n a nonnegative int or math.inf.
 
@@ -110,7 +115,7 @@ def _lattice_sum(kind: str, a: float, h: float, n) -> float:
         if kind == "sigmoid":
             parts += [float(iu), -mirror]
         elif kind == "softplus":  # the block's sum of t, exact before its one rounding
-            parts += [float(iu * Fraction(a) - iu * (iu - 1) // 2 * Fraction(h)), mirror]
+            parts += [_fold(iu, a, iu * (iu - 1) // 2, h), mirror]
         else:
             parts.append(mirror)
     if il < n:
@@ -263,7 +268,7 @@ def _log_pochhammer(z, q: QBase, n=math.inf, guard: float | None = None):
     z = +-m q^e is a float (m = |z|, e = 0) or a ScaledReal on base q. With
     h = ln(1/q) and t_i = ln m - (e + i) h, the M factors with t_i >= 0 are
     e^(t_i) (e^(-t_i) -+ 1): they give q^E with the exact integer
-    E = M e + M(M-1)/2, the exact head = M ln m (a Fraction) and a lattice sum of
+    E = M e + M(M-1)/2, the head M ln m (the pair (M, ln m), so exact) and a lattice sum of
     g(-t_i). The other factors give a lattice sum of g(t_i); g is softplus for
     z < 0 and log1mexp for z > 0. A zero factor gives sign 0 and sums [-inf];
     guard raises PoleError when a factor is within guard of zero.
@@ -275,7 +280,7 @@ def _log_pochhammer(z, q: QBase, n=math.inf, guard: float | None = None):
     else:
         s, m, e = (1 if z > 0.0 else -1), abs(float(z)), 0
     if m == 0.0 or n == 0:
-        return 1, 0, 0, []
+        return 1, 0, (0, 0.0), []
     h, lm = -q.log, math.log(m)
     M = min(n, max(0, math.floor(lm / h) - e + 1))  # factors i < M have t_i >= 0
     t_head, t_tail = lm - (e + M - 1) * h, lm - (e + M) * h  # the two nearest zero
@@ -284,13 +289,13 @@ def _log_pochhammer(z, q: QBase, n=math.inf, guard: float | None = None):
         if guard is not None and min(abs(math.expm1(t)) for t in near) < guard:
             raise PoleError(f"argument z={z!r} within {guard} of a pole q**-i")
         if (M and t_head <= 0.0) or (M < n and t_tail >= 0.0):  # zero up to rounding
-            return 0, 0, 0, [-math.inf]
+            return 0, 0, (0, 0.0), [-math.inf]
     kind = "log1mexp" if s > 0 else "softplus"
     sums = [_lattice_sum(kind, t_tail, h, n - M)]
     if not M:
-        return 1, 0, 0, sums
+        return 1, 0, (0, 0.0), sums
     sums.append(_lattice_sum(kind, -t_head, h, M))
-    return -1 if s > 0 and M % 2 else 1, M * e + M * (M - 1) // 2, M * Fraction(lm), sums
+    return -1 if s > 0 and M % 2 else 1, M * e + M * (M - 1) // 2, (M, lm), sums
 
 
 def q_pochhammer(z, q, n: int) -> ScaledReal:
@@ -304,14 +309,14 @@ def q_pochhammer(z, q, n: int) -> ScaledReal:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     sign, E, head, sums = _log_pochhammer(z, q, n)
-    return ScaledReal.from_log(sign, math.fsum([float(head), *sums]), q).q_shift(E)
+    return ScaledReal.from_log(sign, math.fsum([_fold(*head, 0, -q.log), *sums]), q).q_shift(E)
 
 
 def q_pochhammer_inf(z: float, q) -> float:
     """Infinite product (z; q)_inf, exp of its log from lattice sums."""
     q = as_qbase(q)
     sign, E, head, sums = _log_pochhammer(float(z), q)
-    return sign * math.exp(math.fsum([float(head - E * Fraction(-q.log) if E else head), *sums]))
+    return sign * math.exp(math.fsum([_fold(*head, E, -q.log), *sums]))
 
 
 def e_q(z: float, q) -> float:
@@ -322,7 +327,7 @@ def e_q(z: float, q) -> float:
     """
     q = as_qbase(q)
     sign, E, head, sums = _log_pochhammer(float(z), q, guard=1e-12)
-    return sign * math.exp(-math.fsum([float(head - E * Fraction(-q.log) if E else head), *sums]))
+    return sign * math.exp(-math.fsum([_fold(*head, E, -q.log), *sums]))
 
 
 def E_q(z: float, q) -> float:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qbinomial import asymptotics
+from qbinomial import asymptotics, distributions, qcalc
 from qbinomial.asymptotics import (
     ConsistencyError,
     DriftRangeError,
@@ -98,11 +98,18 @@ class TestCDirect:
             c_direct(1.0, Q5)
 
     @pytest.mark.parametrize("beta", [0.14932739855783705, 0.5, 0.83])
-    @pytest.mark.parametrize("qv", [0.9, 0.999, 0.9999])
+    @pytest.mark.parametrize("qv", [0.9, 0.999, 0.9999, 0.99999])
     def test_near_q_one_against_mpmath(self, beta, qv):
         # each half of the bilateral series is ~0.7/|ln q|; differencing the
         # two sums missed 1e-13 at q = 0.999, beta = 0.1493...
         assert abs(c_direct(beta, QBase(qv)) - c_residue_ref(beta, qv)) < 1e-13
+
+    @pytest.mark.parametrize("qv", [1e-8, 1e-3, 0.0118, 0.3, 0.9, 0.999, 0.99999])
+    def test_within_1e_15_of_residue_ref(self, qv):
+        # enough reference terms that the first one dropped is below e^-46
+        terms = int(46.0 * -math.log(qv) / (2.0 * math.pi**2)) + 3
+        for beta in (0.0, 0.13, 0.3, 0.4999, 0.5, 0.77, 0.999):
+            assert abs(c_direct(beta, QBase(qv)) - c_residue_ref(beta, qv, terms)) <= 1e-15
 
 
 class TestCFourier:
@@ -200,6 +207,33 @@ class TestSigmaLimit:
                 sigma_limit(1.0 - b, Q5), abs=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "qv,dual",
+        [(0.01, False), (0.0117, False), (0.0118, True), (0.02, True),
+         (0.5, True), (0.9, True), (0.999, True), (0.9999, True)],
+    )
+    def test_dual_against_lattice(self, qv, dual):
+        # the Poisson-summation dual serves ln(1/q) < pi sqrt 2, i.e. q > 0.01176;
+        # below that the two dsigmoid lattice sums are returned as they are
+        h = -math.log(qv)
+        for b in BETA_GRID:
+            lattice = math.fsum([
+                _lattice_sum("dsigmoid", -b * h, h, math.inf),
+                _lattice_sum("dsigmoid", -(1.0 - b) * h, h, math.inf),
+            ])
+            got = sigma_limit(b, QBase(qv))
+            if dual:
+                assert abs(got - lattice) <= 1e-15 * lattice
+            else:
+                assert got == lattice
+
+    @pytest.mark.parametrize("qv", [1e-4, 0.0118, 0.5, 0.999])
+    def test_against_mpmath(self, qv, oracle):
+        for b in (0.3, 0.5):
+            with mp.workdps(oracle.DPS):
+                ref = oracle.sigma2_ref(b, qv)
+                assert abs(sigma_limit(b, QBase(qv)) - ref) <= 1e-15 * ref
+
     def test_finite_n_variance_converges_to_limit(self):
         drift = FractionalDrift(Fraction(1, 2), 0.3)
         n = 120
@@ -271,6 +305,17 @@ class TestLimitLaw:
         monkeypatch.setattr(asymptotics, "c_direct", refuse)
         assert limit_law(0.3, Q5).delta == 0
         assert floor_case(0.7, Q5) == 1
+
+    @pytest.mark.parametrize("qv", [0.5, 0.9, 0.9999])
+    def test_no_lattice_sum_from_q_half(self, monkeypatch, qv):
+        def refuse(*args):
+            raise AssertionError("called _lattice_sum")
+
+        for module in (qcalc, distributions, asymptotics):
+            monkeypatch.setattr(module, "_lattice_sum", refuse)
+        for beta in (0.0, 0.3, 0.5, 0.7):
+            law = limit_law(beta, QBase(qv))
+            assert law.sigma == math.sqrt(sigma_limit(beta, QBase(qv)))
 
     @pytest.mark.parametrize("qv", [1e-8, 1e-4, 0.05, 0.5, 0.9, 0.999, 0.9999])
     def test_c_value_against_residue_ref(self, qv):

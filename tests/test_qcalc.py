@@ -1,7 +1,10 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from qbinomial.qcalc import (
     PoleError,
     QBase,
     ScaledReal,
+    _fold,
     e_q,
     q_binomial,
     q_number,
@@ -228,6 +232,61 @@ class TestQExponentials:
     def test_classical_exponential_limit(self):
         q = QBase(0.999)
         assert e_q((1 - 0.999) * 1.0, q) == pytest.approx(math.e, abs=0.01)
+
+
+def test_fold_rounds_once_like_fraction():
+    # _fold(M, x, E, h) is M x - E h rounded once from its exact value
+    rng = random.Random(15)
+    for _ in range(2000):
+        M, E = rng.randrange(10**7), rng.randrange(10**13)
+        x, h = rng.uniform(-50.0, 50.0), math.exp(rng.uniform(-20.0, 5.0))
+        assert _fold(M, x, E, h) == float(M * Fraction(x) - E * Fraction(h))
+
+
+def _subnormal_cases(count, seed=20261019):
+    """Seeded (name, z, q) whose e_q / E_q / q_pochhammer_inf value is below 2^-1022.
+
+    z is set by bisection so that the value falls just below a random cut in
+    [e^-744, e^-708.5]; e_q(-z) falls as z grows, (x; q)_inf as x rises to 1.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        name = ("e_q", "q_pochhammer_inf", "E_q")[i % 3]
+        cut = math.exp(float(rng.uniform(-744.0, -708.5)))
+        if name == "e_q":
+            q = float(rng.uniform(0.05, 0.95))
+            f, lo, hi = (lambda x: e_q(-math.exp(x), q)), -5.0, 300.0
+        else:  # (q; q)_inf < e^-708 needs ln(1/q) < pi^2/(6 * 708)
+            q = float(rng.uniform(0.998, 0.9995))
+            f, lo, hi = (lambda x: q_pochhammer_inf(x, q)), 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(mid) > cut else (lo, mid)
+        z = {"e_q": -math.exp(hi), "q_pochhammer_inf": hi, "E_q": -hi}[name]
+        cases.append((name, z, q))
+    return cases
+
+
+class TestUnderflowRule:
+    """Normal results keep the README's relative tolerance, 1e-13 + 8 eps |ln value|;
+    a subnormal result may add one subnormal ulp, 2^-1074, of absolute error."""
+
+    @pytest.mark.parametrize(
+        "name,z,q",
+        _subnormal_cases(10) + [("e_q", -8359959477687.698, 0.5321358900704279)],
+    )
+    def test_subnormal_results(self, name, z, q, oracle):
+        fn = {"e_q": e_q, "E_q": E_q, "q_pochhammer_inf": q_pochhammer_inf}[name]
+        got = fn(z, QBase(q))
+        assert 0.0 < got < sys.float_info.min
+        # e_q(z) = 1/(z; q)_inf and E_q(z) = (-z; q)_inf
+        sign, arg = {"e_q": (-1, z), "E_q": (1, -z), "q_pochhammer_inf": (1, z)}[name]
+        with mp.workdps(oracle.DPS):
+            log_ref = sign * oracle.log_pochhammer_inf_ref(arg, q)
+            ref = mp.exp(log_ref)
+            tol = oracle.README_SERIES_REL + oracle.LOG_ULPS * abs(float(log_ref))
+            assert abs(mp.mpf(got) - ref) <= tol * ref + mp.mpf(2) ** -1074
 
 
 def reflection_log(z, q, n):
