@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain, islice
 
 import numpy as np
 
@@ -70,28 +71,56 @@ def parse_n_list(text: str) -> list[int]:
     return out
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+def _rational(text: str) -> Fraction:
+    """A rational flag, 'p/r' or a decimal, exactly; a zero denominator is invalid input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> str:
-    """The one serializer: CSV with a header row, or JSON {meta, data}."""
-    if getattr(args, "format", "csv") == "json":
+def _csv_column(values: list) -> tuple[str, list]:
+    """(% format, values) of a CSV column: a float to 17 significant digits, anything else by str."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return "%.17g", values
+    if not any(issubclass(k, float) for k in kinds):
+        return "%s", values
+    return "%s", [f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]
+
+
+def _emit(args: argparse.Namespace, columns: dict) -> str:
+    """The one serializer: CSV with a header row, or JSON {meta, data} as json.dumps writes it.
+
+    A column is a list, one value per row, or a constant, which every row repeats.
+    A constant is formatted once, and one % pass writes all the rows.
+    """
+    values = list(columns.values())
+    size = max((len(v) for v in values if isinstance(v, list)), default=1)
+    cols = [v if isinstance(v, list) else [v] for v in values]
+    as_json = getattr(args, "format", "csv") == "json"
+    if as_json:
         skip = {"subcommand", "format", "output", "seed"}
-        doc = {
-            "meta": {
-                "subcommand": args.subcommand,
-                "params": {k: v for k, v in vars(args).items() if k not in skip and v is not None},
-                "seed": getattr(args, "seed", None),
-            },
-            "data": rows,
+        meta = {
+            "subcommand": args.subcommand,
+            "params": {k: v for k, v in vars(args).items() if k not in skip and v is not None},
+            "seed": getattr(args, "seed", None),
         }
-        return json.dumps(doc) + "\n"
-    # every value is a number or pass/fail, so no CSV field needs quoting
-    lines = [",".join(columns), *(",".join([_fmt(row[c]) for c in columns]) for row in rows)]
-    return "\n".join(lines) + "\n"
+        # one json.dumps writes every value; a value, a number or pass/fail, holds no ", "
+        doc = json.dumps({"meta": meta, "data": list(chain.from_iterable(cols))})
+        head, data, fields = doc.rpartition('"data": [')
+        fields = iter(fields[:-2].split(", "))
+        cols = [("%s", list(islice(fields, len(c)))) for c in cols]
+    else:  # every value is a number or pass/fail, so no CSV field needs quoting
+        cols = list(map(_csv_column, cols))
+    specs, cols = zip(*cols)
+    cols = [c if isinstance(v, list) else [s % c[0]] * size for s, c, v in zip(specs, cols, values)]
+    specs = [s if isinstance(v, list) else "%s" for s, v in zip(specs, values)]
+    if as_json:
+        row = "{" + ", ".join(f'"{k}": %s' for k in columns) + "}"
+        return head + data + ", ".join([row] * size) % tuple(chain.from_iterable(zip(*cols))) + "]}\n"
+    row = "\n" + ",".join(specs)
+    return ",".join(columns) + row * size % tuple(chain.from_iterable(zip(*cols))) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -115,125 +144,95 @@ def _dist_from_args(args) -> object:
     raise ValueError(f"unknown distribution {args.dist!r}")
 
 
-def _cmd_pmf(args) -> tuple:
+def _cmd_pmf(args) -> dict:
     table = tabulate(_dist_from_args(args))
-    rows = [{"x": x, "p": p} for x, p in zip(table.x_values().tolist(), table.probs.tolist())]
-    return ["x", "p"], rows
+    return {"x": table.x_values().tolist(), "p": table.probs.tolist()}
 
 
-def _cmd_moments(args) -> tuple:
+def _cmd_moments(args) -> dict:
     law = _dist_from_args(args)
     if isinstance(law, (KempBinomial, Heine)):
         m = kb_moments(law)
-        mean, var = m.mean, m.variance
-    else:
-        t = tabulate(law)
-        xs = t.x_values().astype(float)
-        mean = float(np.dot(xs, t.probs))
-        var = float(np.dot((xs - mean) ** 2, t.probs))
-    return ["mean", "variance"], [{"mean": mean, "variance": var}]
+        return {"mean": [m.mean], "variance": [m.variance]}
+    t = tabulate(law)
+    xs = t.x_values().astype(float)
+    mean = float(np.dot(xs, t.probs))
+    return {"mean": [mean], "variance": [float(np.dot((xs - mean) ** 2, t.probs))]}
 
 
-def _cmd_sample(args) -> tuple:
+def _cmd_sample(args) -> dict:
     law = _dist_from_args(args)
     rng = np.random.default_rng(getattr(args, "seed", None))
     draws = sample_by_inversion(tabulate(law), rng, size=args.count)
-    rows = [{"index": i, "value": v} for i, v in enumerate(draws.tolist())]
-    return ["index", "value"], rows
+    return {"index": list(range(draws.size)), "value": draws.tolist()}
 
 
-def _cmd_asym(args) -> tuple:
+def _cmd_asym(args) -> dict:
     q = QBase(args.q)
-    drift = FractionalDrift(Fraction(args.slope), args.offset)
-    rows = []
-    for n in parse_n_list(args.n_list):
-        r = mean_expansion(n, drift, q)
-        direct = _logit_sum("sigmoid", KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q))
-        rows.append(
-            {
-                "n": n,
-                "f": r.f_value,
-                "beta": r.beta,
-                "c": r.c_value,
-                "estimate": r.estimate,
-                "mu_direct": direct,
-                "abs_error": abs(direct - r.estimate),
-                "error_bound": r.error_bound,
-                "terms": r.terms_used,
-            }
-        )
-    columns = ["n", "f", "beta", "c", "estimate", "mu_direct", "abs_error", "error_bound", "terms"]
-    return columns, rows
+    drift = FractionalDrift(_rational(args.slope), args.offset)
+    ns = parse_n_list(args.n_list)
+    rs = [mean_expansion(n, drift, q) for n in ns]
+    laws = [KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q) for n, r in zip(ns, rs)]
+    direct = [_logit_sum("sigmoid", d) for d in laws]
+    return {
+        "n": ns,
+        "f": [r.f_value for r in rs],
+        "beta": [r.beta for r in rs],
+        "c": [r.c_value for r in rs],
+        "estimate": [r.estimate for r in rs],
+        "mu_direct": direct,
+        "abs_error": [abs(mu - r.estimate) for mu, r in zip(direct, rs)],
+        "error_bound": [r.error_bound for r in rs],
+        "terms": [r.terms_used for r in rs],
+    }
 
 
-def _cmd_limit(args) -> tuple:
-    q = QBase(args.q)
-    beta = float(Fraction(args.beta)) if "/" in args.beta else float(args.beta)
-    law = limit_law(beta, q)
-    alpha = dnorm_alpha(beta)
+def _cmd_limit(args) -> dict:
+    beta = float(_rational(args.beta))
+    law = limit_law(beta, QBase(args.q))
     t = law.lattice_probs
-    rows = [
-        {
-            "x": x,
-            "p": p,
-            "alpha": alpha,
-            "sigma": law.sigma,
-            "delta": law.delta,
-        }
-        for x, p in zip(t.x_values().tolist(), t.probs.tolist())
-    ]
-    return ["x", "p", "alpha", "sigma", "delta"], rows
+    return {
+        "x": t.x_values().tolist(),
+        "p": t.probs.tolist(),
+        "alpha": dnorm_alpha(beta),
+        "sigma": law.sigma,
+        "delta": law.delta,
+    }
 
 
-def _cmd_solve_theta(args) -> tuple:
+def _cmd_solve_theta(args) -> dict:
     q = QBase(args.q)
     if (args.mu is None) == (args.lam is None):
         raise ValueError("give exactly one of --mu / --lambda")
     if args.lam is not None:
         if args.n is None:
             raise ValueError("--lambda needs --n")
-        theta = theta_for_poisson(args.n, q, args.lam)
-        rows = [{"theta": theta, "residual": 0.0, "iterations": 0}]
-    elif args.n is not None:
-        rows = [asdict(theta_for_mean(args.n, q, args.mu))]
-    else:
-        rows = [asdict(theta_limit_for_mean(q, args.mu))]
-    return ["theta", "residual", "iterations"], rows
+        return {"theta": [theta_for_poisson(args.n, q, args.lam)], "residual": [0.0], "iterations": [0]}
+    sol = theta_limit_for_mean(q, args.mu) if args.n is None else theta_for_mean(args.n, q, args.mu)
+    return {k: [v] for k, v in asdict(sol).items()}
 
 
-def _cmd_converge(args) -> tuple:
-    params: dict = {"q": QBase(args.q)}
-    if args.threshold is not None:
-        params["threshold"] = args.threshold
-    if args.lam is not None:
-        params["lam"] = args.lam
-    if args.mu is not None:
-        params["mu"] = args.mu
+def _cmd_converge(args) -> dict:
+    given = {k: getattr(args, k) for k in ("threshold", "lam", "mu", "n")}
+    params: dict = {"q": QBase(args.q), **{k: v for k, v in given.items() if v is not None}}
     if args.theta is not None:
         params["theta"] = float(args.theta)
     if args.slope is not None:
-        params["slope"] = Fraction(args.slope)
+        params["slope"] = _rational(args.slope)
         params["offset"] = args.offset
     if args.fn is not None:
-        params["fn"] = args.fn
-    if args.n is not None:
-        params["n"] = args.n
+        params["fn"] = args.fn if args.fn == "sqrt" else _rational(args.fn)
     if args.q_list:
         params["q_list"] = [float(s) for s in args.q_list.split(",")]
-    n_list = parse_n_list(args.n_list) if args.n_list else []
-    report = convergence_sweep(args.scenario, params, n_list)
-    keys = list(report.rows[0].auxiliary)  # every row of a sweep has the same keys
-    rows = [
-        {
-            "n": r.n,
-            "distance": r.distance,
-            **r.auxiliary,
-            "threshold": report.threshold,
-            "verdict": report.verdict,
-        }
-        for r in report.rows
-    ]
-    return ["n", "distance", *keys, "threshold", "verdict"], rows
+    report = convergence_sweep(args.scenario, params, parse_n_list(args.n_list) if args.n_list else [])
+    rows = report.rows
+    return {
+        "n": [r.n for r in rows],
+        "distance": [r.distance for r in rows],
+        **{k: [r.auxiliary[k] for r in rows] for k in rows[0].auxiliary},  # every row has the same keys
+        "threshold": report.threshold,
+        "verdict": report.verdict,
+    }
 
 
 _COMMANDS = {
@@ -319,7 +318,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
-        document = _emit(args, *_COMMANDS[args.subcommand](args))
+        document = _emit(args, _COMMANDS[args.subcommand](args))
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -297,37 +297,84 @@ def kb_pmf(d: KempBinomial, x: int) -> float:
     return math.exp(kb_log_pmf(d, x))
 
 
-def _logit_table(d: KempBinomial | Heine, from_zero: bool) -> PMFTable:
-    """Table of the sum of independent Bernoullis with d's logits t_i = lm - (e + i) h, i < n.
+def _window(logits: tuple, q: QBase, K: int, from_zero: bool) -> tuple[int, int, int]:
+    """(mode, lo, hi) for the logits (ln m, e, n): the window lo..hi is mode +- K clipped to
+    {0, ..., n}, or 0..mode + K when from_zero.
 
-    l(x) = ln P(x+1)/P(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) falls by h = ln(1/q)
-    or more per step. The mode, the first x with l(x) <= 0, is found by bisection;
-    the entries are sums of l outward from it, on mode +- K clipped to {0, ..., n},
-    or on {0, ..., mode + K} when from_zero. With e + x an exact integer, t_x has
-    no cancellation even where theta ~ q^(-n).
+    The mode is the first x with l(x) = ln P(x+1)/P(x) <= 0, found by bisection:
+    l(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) lies within c = -ln(1 - q) of
+    t_x = lm - (e + x) h, h = ln(1/q), so l > 0 below b and l < 0 from t on.
     """
-    lm, e, n = _logits(d)
-    q, h = d.q, -d.q.log
+    lm, e, n = logits
+    h, c = -q.log, -math.log1p(-q.value)
 
     def log_ratio(x: int) -> float:
         return lm - (e + x) * h + math.log(math.expm1((x - n) * h) / math.expm1(-(x + 1) * h))
 
-    # |l(x) - t_x| <= c = -ln(1 - q), so l > 0 below lo and l < 0 from hi on
-    c = -math.log1p(-q.value)
-    lo = min(n, max(0, math.floor((lm - c) / h) - e - 1))
-    hi = min(n, max(0, math.ceil((lm + c) / h) - e + 1))
-    mode = lo + bisect.bisect_left(range(lo, hi), True, key=lambda x: log_ratio(x) <= 0.0)
-    K = _half_width(q)
-    lo, hi = 0 if from_zero else max(0, mode - K), min(n, mode + K)
-    x = np.arange(lo, hi)
-    ell = lm - (e + lo) * h - h * (x - lo) + np.log(np.expm1((x - n) * h) / np.expm1(-(x + 1) * h))
-    i = mode - lo
-    logw = np.empty(ell.size + 1)
-    logw[i] = 0.0
-    np.cumsum(ell[i:], out=logw[i + 1 :])
-    np.cumsum(ell[:i][::-1], out=logw[:i][::-1])
-    np.negative(logw[:i], out=logw[:i])
-    return _normalised_table(lo, logw)
+    b = min(n, max(0, math.floor((lm - c) / h) - e - 1))
+    t = min(n, max(0, math.ceil((lm + c) / h) - e + 1))
+    mode = b + bisect.bisect_left(range(b, t), True, key=lambda x: log_ratio(x) <= 0.0)
+    return mode, 0 if from_zero else max(0, mode - K), min(n, mode + K)
+
+
+def _logit_rows(triples: list, q: QBase, from_zero: bool = False) -> tuple[list[int], np.ndarray]:
+    """The tables of logit triples (ln m, e, n) at one q, as rows: (first x of each row, rows).
+
+    l(x) = ln P(x+1)/P(x) falls by h = ln(1/q) or more per step, and a table's entries
+    are sums of l outward from its mode over its window (see _window). Row r holds
+    x = first[r], first[r] + 1, ..., and 0.0 off its window: the tables are laid out
+    with every mode at one index, so the ratios, both cumulative sums and exp run once
+    for all of them, in O(rows K) plus a bisection per row. Each row is divided by the
+    sum over its window alone, so it equals the table built from its triple alone, bit
+    for bit. With e + x an exact integer, t_x has no cancellation even where theta ~ q^(-n).
+    """
+    h, K = -q.log, _half_width(q)
+    many = len(triples) > 1
+    if not many:  # scalars, which broadcast like the columns below at a scalar's cost
+        (lm, e, n), (mode, lo, hi) = triples[0], _window(triples[0], q, K, from_zero)
+        left, width, first = mode - lo, hi - lo + 1, [lo]
+        a, x = lm - (e + lo) * h, np.arange(lo, hi)
+    else:  # x runs down the first axis, one column per table
+        modes, los, his = zip(*(_window(t, q, K, from_zero) for t in triples))
+        left = max(m - lo for m, lo in zip(modes, los))  # the modes' index
+        width = left + 1 + max(hi - m for m, hi in zip(modes, his))
+        first = [m - left for m in modes]
+        a = np.array([lm - (e + lo) * h for (lm, e, _), lo in zip(triples, los)])
+        lo, hi, n = np.array(los), np.array(his), np.array([t[2] for t in triples])
+        x = np.arange(width)[:, None] + first
+        inside = (lo <= x) & (x <= hi)
+        # ratios off the windows are zeroed below, and clipping keeps them finite
+        x, n = np.clip(x[:-1], lo, np.maximum(hi - 1, lo)), np.maximum(n, 1)
+    ratio = np.expm1((x - n) * h)
+    ratio /= np.expm1((-1 - x) * h)
+    ell = a - h * (x - lo)
+    ell += np.log(ratio, out=ratio)
+    if many:
+        ell *= inside[:-1] & inside[1:]
+    logw = np.empty((width,) + ell.shape[1:])
+    logw[left] = 0.0
+    np.cumsum(ell[left:], axis=0, out=logw[left + 1 :])
+    np.cumsum(ell[:left][::-1], axis=0, out=logw[:left][::-1])
+    np.negative(logw[:left], out=logw[:left])
+    probs = np.exp(logw, out=logw)
+    if not many:
+        probs /= probs.sum()
+        return first, probs[None]
+    probs *= inside
+    probs = np.ascontiguousarray(probs.T)  # a sum's rounding depends on its length and layout
+    sums = [row[b - f : c - f + 1].sum() for row, f, b, c in zip(probs, first, los, his)]
+    probs /= np.array(sums)[:, None]
+    if not (probs.min() >= 0.0 and np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9):
+        raise ValueError("negative, NaN or unnormalised table row")  # PMFTable's checks, per batch
+    return first, probs
+
+
+def _logit_table(d: KempBinomial | Heine, from_zero: bool) -> PMFTable:
+    """d's table: the one-row case of _logit_rows."""
+    first, probs = _logit_rows([_logits(d)], d.q, from_zero)
+    probs = probs[0]
+    probs.flags.writeable = False  # PMFTable keeps it without a copy
+    return PMFTable(first[0], probs, 1.0)
 
 
 def kb_table(d: KempBinomial) -> PMFTable:

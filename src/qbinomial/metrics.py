@@ -23,13 +23,15 @@ from .distributions import (
     KempBinomial,
     PMFTable,
     Poisson,
+    _half_width,
+    _logit_rows,
     _logit_sum,
+    _logits,
     binomial_table,
     dnorm_table,
     heine_table,
     kb_table,
     poisson_table,
-    reflect,
 )
 from .qcalc import QBase, ScaledReal, as_qbase
 from .solvers import theta_for_mean, theta_for_poisson, theta_limit_for_mean
@@ -91,13 +93,36 @@ def tabulate(law) -> PMFTable:
     raise TypeError(f"cannot tabulate {law!r}")
 
 
-def _gap(a: PMFTable, b: PMFTable) -> np.ndarray:
-    """a - b, entry by entry, on the union lattice min(offsets), ..., max(lasts)."""
-    lo = min(a.offset, b.offset)
-    gap = np.zeros(max(a.last, b.last) - lo + 1)
-    gap[a.offset - lo : a.offset - lo + len(a)] = a.probs
-    gap[b.offset - lo : b.offset - lo + len(b)] -= b.probs
+def _rows(t: PMFTable) -> tuple:
+    """t as a set of one table: (first x of each row, rows of probs, the mass each row captures)."""
+    return [t.offset], t.probs[None], t.captured_mass
+
+
+def _at(first: list, width: int, lo: int, rows: int) -> tuple:
+    """Where a set's entries go in a gap array whose lattice starts at lo; one row goes in every row."""
+    if len(first) == 1:
+        return slice(None), slice(first[0] - lo, first[0] - lo + width)
+    return np.arange(rows)[:, None], np.array(first)[:, None] - lo + np.arange(width)
+
+
+def _gaps(a: tuple, b: tuple) -> np.ndarray:
+    """a - b, row by row, on one lattice that holds every row of both sets.
+
+    A set of one table pairs with every row of the other. Row r of the result is
+    the union-lattice gap of row r's pair, padded with 0.0.
+    """
+    (fa, pa, _), (fb, pb, _) = a, b
+    lo = min(min(fa), min(fb))
+    gap = np.zeros((max(len(fa), len(fb)), max(max(fa) + pa.shape[1], max(fb) + pb.shape[1]) - lo))
+    gap[_at(fa, pa.shape[1], lo, len(gap))] = pa
+    gap[_at(fb, pb.shape[1], lo, len(gap))] -= pb
     return gap
+
+
+def _tv_rows(a: tuple, b: tuple) -> list[float]:
+    """tv_distance of each row pair of two sets of tables (see _gaps)."""
+    slack = 0.5 * ((1.0 - a[2]) + (1.0 - b[2]))
+    return [min(1.0, 0.5 * math.fsum(g) + slack) for g in np.abs(_gaps(a, b)).tolist()]
 
 
 def tv_distance(a: PMFTable, b: PMFTable) -> float:
@@ -105,14 +130,15 @@ def tv_distance(a: PMFTable, b: PMFTable) -> float:
 
     core is half the l1 gap on the union lattice and u a table's uncaptured mass;
     that mass may sit anywhere, so the true TV lies within (u_a + u_b)/2 of core.
+    math.fsum rounds the sum exactly once, so the 0.0 padding of a set of tables
+    cannot change a distance.
     """
-    core = 0.5 * math.fsum(np.abs(_gap(a, b)).tolist())
-    return min(1.0, core + 0.5 * ((1.0 - a.captured_mass) + (1.0 - b.captured_mass)))
+    return _tv_rows(_rows(a), _rows(b))[0]
 
 
 def kolmogorov_distance(a: PMFTable, b: PMFTable) -> float:
     """Max CDF gap over the union lattice."""
-    return float(np.max(np.abs(np.cumsum(_gap(a, b)))))
+    return float(np.max(np.abs(np.cumsum(_gaps(_rows(a), _rows(b))[0]))))
 
 
 # ---------------------------------------------------------------------------
@@ -135,42 +161,63 @@ def _require(params: dict, *names: str) -> list:
     return [params[k] for k in names]
 
 
+def _kb_sets(laws: list, q: QBase):
+    """kb_table of each law, as (slice of laws, set of rows) pairs of at most 2^16 entries.
+
+    Every law has base q. A set's rows are built in one pass (distributions._logit_rows);
+    the bound keeps a sweep's memory at that of a few short tables, whatever its length.
+    """
+    step = max(1, 2**16 // (2 * _half_width(q) + 1))
+    for i in range(0, len(laws), step):
+        first, probs = _logit_rows([_logits(d) for d in laws[i : i + step]], q)
+        yield slice(i, i + step), (first, probs, 1.0)
+
+
+def _reflected(rows: tuple, ns: list) -> tuple:
+    """Each row's table of n - X, as reflect gives it; a row's 0.0 padding reflects with it."""
+    first, probs, mass = rows
+    return [n - f - (probs.shape[1] - 1) for n, f in zip(ns, first)], probs[:, ::-1], mass
+
+
+def _kb_distances(laws: list, q: QBase, limit: tuple, shifts: list | None = None) -> list[float]:
+    """tv_distance(kb_table(d).shifted(k), limit) for each law d and its shift k (default 0)."""
+    out = []
+    for part, (first, probs, mass) in _kb_sets(laws, q):
+        if shifts is not None:
+            first = [f - k for f, k in zip(first, shifts[part])]
+        out += _tv_rows((first, probs, mass), limit)
+    return out
+
+
 def _sweep_poisson(q: QBase, params: dict, n_list) -> list:
     (lam,) = _require(params, "lam")
-    limit = tabulate(Heine((1.0 - q.value) * lam, q))
-    rows = []
-    for n in n_list:
-        theta = theta_for_poisson(n, q, lam)
-        d = KempBinomial(n, theta, q)
-        rows.append(
-            ConvergenceRow(
-                n,
-                tv_distance(kb_table(d), limit),
-                {"theta": theta, "mean": _logit_sum("sigmoid", d)},
-            )
-        )
-    return rows
+    limit = _rows(tabulate(Heine((1.0 - q.value) * lam, q)))
+    thetas = [theta_for_poisson(n, q, lam) for n in n_list]
+    laws = [KempBinomial(n, theta, q) for n, theta in zip(n_list, thetas)]
+    return [
+        ConvergenceRow(d.n, dist, {"theta": theta, "mean": _logit_sum("sigmoid", d)})
+        for d, theta, dist in zip(laws, thetas, _kb_distances(laws, q, limit))
+    ]
 
 
 def _sweep_constant_mean(q: QBase, params: dict, n_list) -> list:
     (mu,) = _require(params, "mu")
     theta_inf = theta_limit_for_mean(q, mu).theta
-    limit = tabulate(Heine(theta_inf, q))
-    rows = []
-    for n in n_list:
-        sol = theta_for_mean(n, q, mu)
-        rows.append(
-            ConvergenceRow(
-                n,
-                tv_distance(kb_table(KempBinomial(n, sol.theta, q)), limit),
-                {
-                    "theta": sol.theta,
-                    "residual": sol.residual,
-                    "theta_limit_gap": abs(sol.theta - theta_inf),
-                },
-            )
+    limit = _rows(tabulate(Heine(theta_inf, q)))
+    sols = [theta_for_mean(n, q, mu) for n in n_list]
+    laws = [KempBinomial(n, sol.theta, q) for n, sol in zip(n_list, sols)]
+    return [
+        ConvergenceRow(
+            n,
+            dist,
+            {
+                "theta": sol.theta,
+                "residual": sol.residual,
+                "theta_limit_gap": abs(sol.theta - theta_inf),
+            },
         )
-    return rows
+        for n, sol, dist in zip(n_list, sols, _kb_distances(laws, q, limit))
+    ]
 
 
 def _sweep_subexponential(q: QBase, params: dict, n_list) -> list:
@@ -184,66 +231,62 @@ def _sweep_subexponential(q: QBase, params: dict, n_list) -> list:
             f"n_list spans {sorted(float(b) for b in betas)}"
         )
     beta = betas.pop()
-    limit = limit_law(beta, q).lattice_probs
+    limit = _rows(limit_law(beta, q).lattice_probs)
     # shift floor(mu_n); at beta = 1/2 the half-integer rule takes ceil(mu_n) once 2 f(n) > n - 1
     half = beta == Fraction(1, 2)
     exact_offset = Fraction(drift.offset)
-    beta_value = float(beta)
-    rows = []
+    laws, means, shifts = [], [], []
     for n in n_list:
         f = drift.value(n)
         if not 0.0 < f < n:
             raise ValueError(f"f({n}) = {f} outside (0, n)")
-        d = KempBinomial(n, ScaledReal.from_q_power(-f, q), q)
-        mu = _logit_sum("sigmoid", d)
+        laws.append(KempBinomial(n, ScaledReal.from_q_power(-f, q), q))
+        means.append(_logit_sum("sigmoid", laws[-1]))
         up = half and 2 * (drift.slope * n + exact_offset) > n - 1
-        shift = math.ceil(mu) if up else math.floor(mu)
-        rows.append(
-            ConvergenceRow(
-                n,
-                tv_distance(kb_table(d).shifted(shift), limit),
-                {"mean": mu, "shift": float(shift), "beta": beta_value},
-            )
-        )
-    return rows
+        shifts.append(math.ceil(means[-1]) if up else math.floor(means[-1]))
+    beta_value = float(beta)
+    return [
+        ConvergenceRow(n, dist, {"mean": mu, "shift": float(k), "beta": beta_value})
+        for n, mu, k, dist in zip(n_list, means, shifts, _kb_distances(laws, q, limit, shifts))
+    ]
 
 
 def _sweep_reflection(q: QBase, params: dict, n_list) -> list:
     (theta,) = _require(params, "theta")
-    limit = tabulate(Heine(q.value / theta, q))
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta!r}")
+    limit = _rows(tabulate(Heine(q.value / theta, q)))
     dual_base = ScaledReal.from_float(theta, q)
-    rows = []
-    for n in n_list:
-        d = KempBinomial(n, dual_base.q_shift(-n), q)
-        reflected = reflect(kb_table(d), n)
-        exact = kb_table(KempBinomial(n, q.value / theta, q))
-        gap = _gap(reflected, exact)  # windows may differ at a tied mode
-        rows.append(
-            ConvergenceRow(
-                n,
-                tv_distance(reflected, limit),
-                {"exact_identity_gap": float(np.max(np.abs(gap)))},
-            )
-        )
-    return rows
+    laws = [KempBinomial(n, dual_base.q_shift(-n), q) for n in n_list]
+    exact = _kb_sets([KempBinomial(n, q.value / theta, q) for n in n_list], q)
+    distances, gaps = [], []
+    for (part, rows), (_, exact_rows) in zip(_kb_sets(laws, q), exact):
+        reflected = _reflected(rows, n_list[part])
+        distances += _tv_rows(reflected, limit)
+        # on the union lattice: the windows may differ at a tied mode
+        gaps += np.abs(_gaps(reflected, exact_rows)).max(axis=1).tolist()
+    return [
+        ConvergenceRow(n, dist, {"exact_identity_gap": g}) for n, dist, g in zip(n_list, distances, gaps)
+    ]
 
 
 def _sweep_degenerate(q: QBase, params: dict, n_list) -> list:
     fn = params.get("fn", "sqrt")
-    rows = []
-    for n in n_list:
-        f = math.sqrt(n) if fn == "sqrt" else FractionalDrift(Fraction(fn)).value(n)
-        d = KempBinomial(n, ScaledReal.from_q_power(-(n + f), q), q)
-        reflected = reflect(kb_table(d), n)
-        point = PMFTable(0, np.array([1.0]), 1.0)
-        rows.append(
-            ConvergenceRow(n, tv_distance(reflected, point), {"p0": reflected.prob(0)})
-        )
-    return rows
+    f = math.sqrt if fn == "sqrt" else FractionalDrift(Fraction(fn)).value
+    laws = [KempBinomial(n, ScaledReal.from_q_power(-(n + f(n)), q), q) for n in n_list]
+    point = _rows(PMFTable(0, np.array([1.0]), 1.0))
+    distances, p0 = [], []
+    for part, rows in _kb_sets(laws, q):
+        first, probs, _ = reflected = _reflected(rows, n_list[part])
+        distances += _tv_rows(reflected, point)
+        p0 += [float(p[-x]) if 0 <= -x < p.size else 0.0 for p, x in zip(probs, first)]
+    return [ConvergenceRow(n, dist, {"p0": p}) for n, dist, p in zip(n_list, distances, p0)]
 
 
 def _sweep_q_to_1(q: QBase, params: dict, n_list) -> list:
     n, theta = _require(params, "n", "theta")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be nonnegative and finite, got {theta!r}")
     q_list = params.get("q_list") or [q.value]
     limit = binomial_table(Binomial(n, theta / (1.0 + theta)))
     rows = []
@@ -282,6 +325,8 @@ def convergence_sweep(scenario: str, params: dict, n_list: Sequence[int]) -> Swe
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError("n_list must be nonempty and strictly increasing")
     threshold = float(params.get("threshold", _DEFAULT_THRESHOLDS[scenario]))
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be nonnegative and finite, got {threshold!r}")
     rows = _SWEEPS[scenario](q, params, list(n_list))
     return SweepReport(
         scenario=scenario,

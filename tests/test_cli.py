@@ -405,6 +405,37 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: alpha")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limit", "--beta", "1/0", "--q", "0.5"],
+            ["asym", "--slope", "1/0", "--q", "0.5", "--n-list", "200"],
+            ["converge", "--scenario", "subexponential", "--q", "0.5", "--slope", "1/0",
+             "--n-list", "20:120:2"],
+            ["converge", "--scenario", "degenerate", "--q", "0.5", "--fn", "1/0", "--n-list", "400"],
+        ],
+        ids=["limit-beta", "asym-slope", "converge-slope", "converge-fn"],
+    )
+    def test_zero_denominator_is_bad_input(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: zero denominator")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "exponential-reflection", "--theta", "0", "--n-list", "10:80:10"],
+            ["--scenario", "q-to-1-binomial", "--n", "10", "--theta", "-1", "--q-list", "0.99"],
+            ["--scenario", "poisson-coupling", "--lambda", "2", "--n-list", "10", "--threshold", "nan"],
+            ["--scenario", "poisson-coupling", "--lambda", "2", "--n-list", "10", "--threshold", "-1"],
+        ],
+        ids=["reflection-theta-0", "q-to-1-theta-negative", "threshold-nan", "threshold-negative"],
+    )
+    def test_bad_sweep_parameter(self, capsys, argv):
+        code, out, err = run_cli(capsys, "converge", "--q", "0.5", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 def test_console_entry_point_runs():
     # the child imports the package under test, also when only pytest's pythonpath finds it

@@ -12,11 +12,15 @@ from qbinomial.distributions import (
     KempBinomial,
     PMFTable,
     Poisson,
+    _half_width,
+    _logit_rows,
+    _logits,
     heine_pmf,
     kb_moments,
     kb_pmf,
     kb_table,
     reference_pmf,
+    reflect,
 )
 from qbinomial.metrics import (
     convergence_sweep,
@@ -25,6 +29,7 @@ from qbinomial.metrics import (
     tv_distance,
 )
 from qbinomial.qcalc import QBase, ScaledReal
+from qbinomial.solvers import theta_limit_for_mean
 
 Q5 = QBase(0.5)
 
@@ -260,6 +265,27 @@ class TestSweeps:
         with pytest.raises(ValueError):
             convergence_sweep("poisson-coupling", {"q": Q5}, [10, 20])
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, math.inf, math.nan])
+    def test_reflection_needs_positive_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            convergence_sweep("exponential-reflection", {"q": Q5, "theta": theta}, [10, 20])
+
+    @pytest.mark.parametrize("theta", [-1.0, -0.5, math.inf, math.nan])
+    def test_q_to_1_needs_nonnegative_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            convergence_sweep("q-to-1-binomial", {"q": Q5, "n": 10, "theta": theta}, [])
+
+    def test_q_to_1_theta_zero_is_the_point_mass(self):
+        rep = convergence_sweep("q-to-1-binomial", {"q": Q5, "n": 10, "theta": 0.0, "q_list": [0.9]}, [])
+        assert rep.rows[0].distance == 0.0
+
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan, math.inf])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            convergence_sweep(
+                "poisson-coupling", {"q": Q5, "lam": 2.0, "threshold": threshold}, [10, 20]
+            )
+
 
 def two_array_tv(a: PMFTable, b: PMFTable) -> float:
     """tv_distance as two zero-padded arrays on the union lattice."""
@@ -333,3 +359,121 @@ class TestSweepReference:
         for a in others:
             for b in others:
                 assert tv_distance(a, b) == two_array_tv(a, b)
+
+
+def union_gap(a: PMFTable, b: PMFTable) -> np.ndarray:
+    """a - b entry by entry on the union lattice min(offsets), ..., max(lasts)."""
+    lo = min(a.offset, b.offset)
+    gap = np.zeros(max(a.last, b.last) - lo + 1)
+    gap[a.offset - lo : a.offset - lo + len(a)] = a.probs
+    gap[b.offset - lo : b.offset - lo + len(b)] -= b.probs
+    return gap
+
+
+BATCH_QS = [0.05, 0.3, 0.5, 0.9, 0.999]
+
+
+def batch_laws(q: QBase) -> list:
+    """KB laws at q whose windows are clipped at 0, at n, at both or at neither, theta = 0 and n = 0."""
+    laws = []
+    for n in [0, 1, 2, 7, 20, 45, 80, 150, 1000, 20000]:
+        laws += [KempBinomial(n, th, q) for th in (0.0, 0.4, 1.3, 9.0)]
+        drifts = (0.3 * n, n / 2, n - 0.5, n + n**0.5)
+        laws += [KempBinomial(n, ScaledReal.from_q_power(-f, q), q) for f in drifts]
+    return laws
+
+
+class TestBatchedRows:
+    """Sweeps build their tables as rows of one array; every row equals the per-row path bit for bit."""
+
+    @pytest.mark.parametrize("qv", BATCH_QS)
+    def test_builder_rows_are_kb_tables(self, qv):
+        q = QBase(qv)
+        laws = batch_laws(q)
+        first, probs = _logit_rows([_logits(d) for d in laws], q)
+        assert probs.shape[0] == len(laws)
+        assert probs.shape[1] <= 2 * _half_width(q) + 1
+        clipped = 0
+        for d, f, row in zip(laws, first, probs):
+            t = kb_table(d)
+            i = t.offset - f
+            clipped += len(t) < 2 * _half_width(q) + 1
+            assert (row[i : i + len(t)] == t.probs).all()
+            assert not row[:i].any() and not row[i + len(t) :].any()
+        assert clipped > 0
+
+    @pytest.mark.parametrize("qv", BATCH_QS)
+    def test_kb_table_is_the_one_row_case(self, qv):
+        q = QBase(qv)
+        for d in batch_laws(q):
+            first, probs = _logit_rows([_logits(d)], q)
+            t = kb_table(d)
+            assert first == [t.offset] and probs.shape == (1, len(t))
+            assert (probs[0] == t.probs).all()
+
+    @pytest.mark.parametrize("qv", BATCH_QS)
+    def test_poisson_coupling(self, qv):
+        q = QBase(qv)
+        rep = convergence_sweep("poisson-coupling", {"q": q, "lam": 2.0}, list(range(10, 401, 10)))
+        limit = tabulate(Heine((1.0 - qv) * 2.0, q))
+        for row in rep.rows:
+            d = KempBinomial(row.n, row.auxiliary["theta"], q)
+            assert row.distance == tv_distance(kb_table(d), limit)
+            assert row.auxiliary["mean"] == kb_moments(d).mean
+
+    @pytest.mark.parametrize("qv", BATCH_QS)
+    def test_constant_mean(self, qv):
+        q = QBase(qv)
+        rep = convergence_sweep("constant-mean", {"q": q, "mu": 1.5}, [3, 10, 40, 200])
+        limit = tabulate(Heine(theta_limit_for_mean(q, 1.5).theta, q))
+        for row in rep.rows:
+            d = KempBinomial(row.n, row.auxiliary["theta"], q)
+            assert row.distance == tv_distance(kb_table(d), limit)
+
+    @pytest.mark.parametrize("qv", BATCH_QS)
+    @pytest.mark.parametrize(
+        "slope, offset, n_list",
+        [
+            (Fraction(1, 2), 0.3, range(20, 121, 2)),
+            (Fraction(1, 2), 0.0, range(21, 122, 2)),  # beta = 1/2 and 2 f(n) = n: ceil
+            (Fraction(1, 4), 0.5, range(20, 121, 4)),  # beta = 1/2 and 2 f(n) <= n - 1: floor
+        ],
+    )
+    def test_subexponential(self, qv, slope, offset, n_list):
+        TestSweepReference._check_subexponential(QBase(qv), slope, offset, list(n_list))
+
+    @pytest.mark.parametrize("qv", BATCH_QS)
+    @pytest.mark.parametrize("theta", [1.0, 2.5])
+    def test_exponential_reflection(self, qv, theta):
+        q = QBase(qv)
+        n_list = list(range(1, 61, 2))
+        rep = convergence_sweep("exponential-reflection", {"q": q, "theta": theta}, n_list)
+        limit = tabulate(Heine(qv / theta, q))
+        for n, row in zip(n_list, rep.rows):
+            d = KempBinomial(n, ScaledReal.from_float(theta, q).q_shift(-n), q)
+            reflected = reflect(kb_table(d), n)
+            exact = kb_table(KempBinomial(n, qv / theta, q))
+            assert row.distance == tv_distance(reflected, limit)
+            gap = float(np.max(np.abs(union_gap(reflected, exact))))
+            assert row.auxiliary == {"exact_identity_gap": gap}
+
+    @pytest.mark.parametrize("qv", BATCH_QS)
+    @pytest.mark.parametrize("fn", ["sqrt", Fraction(1, 2)])
+    def test_degenerate(self, qv, fn):
+        q = QBase(qv)
+        n_list = [1, 4, 9, 30, 100, 400]
+        rep = convergence_sweep("degenerate", {"q": q, "fn": fn}, n_list)
+        for n, row in zip(n_list, rep.rows):
+            f = math.sqrt(n) if fn == "sqrt" else FractionalDrift(fn).value(n)
+            reflected = reflect(kb_table(KempBinomial(n, ScaledReal.from_q_power(-(n + f), q), q)), n)
+            assert row.distance == tv_distance(reflected, point_mass(0))
+            assert row.auxiliary == {"p0": reflected.prob(0)}
+
+    def test_tv_and_kolmogorov_use_the_union_gap(self):
+        kb = kb_table(KempBinomial(30, 2.0, Q5))
+        tables = [point_mass(-3), point_mass(4), tabulate(Binomial(6, 0.4)), kb]
+        for a in tables:
+            for b in tables:
+                gap = union_gap(a, b)
+                assert kolmogorov_distance(a, b) == float(np.max(np.abs(np.cumsum(gap))))
+                assert tv_distance(a, b) == min(1.0, 0.5 * math.fsum(np.abs(gap).tolist()))

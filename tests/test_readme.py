@@ -1,6 +1,11 @@
 """Every example in README.md runs: each `qbinomial ...` line of its sh blocks
-exits 0 through cli.main, and its Python quick tour executes."""
+exits 0 through cli.main and writes the same document as CSV and as JSON, and
+its Python quick tour executes."""
 
+import csv
+import io
+import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -38,3 +43,30 @@ def test_cli_example_exits_0(capsys, argv):
 @pytest.mark.parametrize("source", blocks("python"), ids=lambda s: "quick-tour")
 def test_python_example_runs(source):
     exec(compile(source, "README.md", "exec"), {})
+
+
+# columns that hold one value for the whole document
+CONSTANT_COLUMNS = {"limit": ("alpha", "sigma", "delta"), "converge": ("threshold", "verdict")}
+
+
+def field_value(field: str, value):
+    """The CSV field read as the JSON value's type."""
+    return field if isinstance(value, str) else type(value)(field)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_csv_and_json_agree(capsys, argv):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(["--format", "json", *argv]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    header, *lines = text.splitlines()
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert len(rows) == len(lines) == len(data) > 0
+    for row, record in zip(rows, data):
+        assert header.split(",") == list(record)
+        for field, value in zip(row, record.values()):
+            got = field_value(field, value)
+            assert got == value or (math.isnan(got) and math.isnan(value))
+    for name in CONSTANT_COLUMNS.get(argv[0], ()):
+        assert len({record[name] for record in data}) == 1
