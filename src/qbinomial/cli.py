@@ -161,6 +161,8 @@ def _cmd_moments(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
+    if args.count < 0:
+        raise ValueError(f"count must be >= 0, got {args.count}")
     law = _dist_from_args(args)
     rng = np.random.default_rng(getattr(args, "seed", None))
     draws = sample_by_inversion(tabulate(law), rng, size=args.count)

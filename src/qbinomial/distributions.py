@@ -204,6 +204,11 @@ class PMFTable(_CacheOwner):
         cdf.flags.writeable = False
         return cdf
 
+    @cached_property
+    def _cdf_floats(self) -> tuple[float, ...]:
+        """_cdf as a tuple of Python floats, built on the first single draw for bisect."""
+        return tuple(self._cdf.tolist())
+
     def x_values(self) -> np.ndarray:
         return np.arange(self.offset, self.offset + self.probs.size)
 
@@ -394,8 +399,9 @@ def kb_moments(d: KempBinomial | Heine) -> MomentPair:
 def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None):
     """Draw from KB(n, theta, q) by inversion of kb_table; deterministic per seed.
 
-    The table is built on d's first draw and kept by d, so later draws cost O(log K).
-    Returns an int for size=None, otherwise an int64 array of that length.
+    The table is built on d's first draw and kept by d, so later draws cost O(log K):
+    see sample_by_inversion. Returns an int for size=None, otherwise an int64 array
+    of that length.
     """
     return sample_by_inversion(d._table, rng, size)
 
@@ -498,14 +504,18 @@ def sample_by_inversion(t: PMFTable, rng: np.random.Generator, size: int | None 
     """Invert the cumulative sums of a table; deterministic per seed.
 
     Requires captured_mass >= 1 - 1e-12 so the inversion error stays inside
-    the table's own truncation budget.
+    the table's own truncation budget. A single draw (size=None) bisects a kept
+    tuple of the cumulative sums in pure Python, about 1 us, which the table builds
+    on its first single draw (W floats, about 32 W bytes); a batch calls
+    np.searchsorted. For u in [0, 1) both find the same index, so a draw depends
+    only on its stream position, not on how it is asked for.
     """
     if t.captured_mass < 1.0 - 1e-12:
         raise TableMassError(
             f"table captures only {t.captured_mass}; need >= 1 - 1e-12"
         )
     if size is None:
-        i = int(np.searchsorted(t._cdf, rng.random(), side="right"))
+        i = bisect.bisect_right(t._cdf_floats, rng.random())
         return t.offset + min(i, t.probs.size - 1)
     idx = np.searchsorted(t._cdf, rng.random(size), side="right")
     np.minimum(idx, t.probs.size - 1, out=idx)

@@ -397,6 +397,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: theta")
 
+    def test_negative_count(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sample", "--dist", "kb", "--n", "20", "--theta", "1.3", "--q", "0.6",
+            "--count", "-3",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: count must be >= 0, got -3\n"
+
     def test_huge_dnorm_alpha(self, capsys):
         # |alpha| >= 2**52 has no fractional part left to centre the lattice on
         code, out, err = run_cli(

@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 
@@ -622,6 +623,80 @@ class TestSamplingTableCache:
         assert pickle.dumps(t) == pickle.dumps(kb_table(fresh))
         back = pickle.loads(pickle.dumps(t))
         assert "_cdf" not in vars(back) and not back.probs.flags.writeable
+
+    def test_single_draw_tuple_built_once(self):
+        t = kb_table(KempBinomial(20, 1.3, QBase(0.6)))
+        rng = np.random.default_rng(0)
+        sample_by_inversion(t, rng)
+        kept = vars(t)["_cdf_floats"]
+        assert type(kept) is tuple and kept == tuple(t._cdf.tolist())
+        for _ in range(20):
+            sample_by_inversion(t, rng)
+        sample_by_inversion(t, rng, size=20)
+        assert vars(t)["_cdf_floats"] is kept
+
+    def test_batch_draws_never_build_tuple(self):
+        d = KempBinomial(20, 1.3, QBase(0.6))
+        kb_sample(d, np.random.default_rng(0), size=100)
+        t = heine_table(Heine(1.5, Q5))
+        sample_by_inversion(t, np.random.default_rng(0), size=100)
+        assert "_cdf" in vars(d._table) and "_cdf_floats" not in vars(d._table)
+        assert "_cdf" in vars(t) and "_cdf_floats" not in vars(t)
+
+    def test_tuple_not_in_pickles_or_copies(self):
+        t = kb_table(KempBinomial(20, 1.3, QBase(0.6)))
+        before = pickle.dumps(t)
+        sample_by_inversion(t, np.random.default_rng(0))
+        assert "_cdf_floats" in vars(t) and pickle.dumps(t) == before
+        for back in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert "_cdf_floats" not in vars(back) and "_cdf" not in vars(back)
+
+
+class _Stream:
+    """A stand-in generator whose random() returns the given values of u in order."""
+
+    def __init__(self, us):
+        self._us = iter(us)
+
+    def random(self):
+        return next(self._us)
+
+
+class TestSingleDrawRule:
+    """A single draw is searchsorted(side="right") on the cumulative sums, clipped to the last entry."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # cumulative sums end at 0.9999999999999996: u above them clips to the last entry
+            lambda: kb_table(KempBinomial(1000, 0.653, Q5)),
+            lambda: kb_table(KempBinomial(2000, 1.7, QBase(0.999))),
+            lambda: heine_table(Heine(1.5, Q5)),
+            lambda: dnorm_table(DiscreteNormal(0.3, Q5)),
+            lambda: reflect(kb_table(KempBinomial(30, 2.0, Q5)), 30),
+            lambda: kb_table(KempBinomial(30, 2.0, Q5)).shifted(7),
+            lambda: PMFTable(0, np.array([0.25, 0.0, 0.75]), 1.0),
+        ],
+        ids=["kb-short", "kb-q0.999", "heine", "dnorm", "reflect", "shifted", "zero-entry"],
+    )
+    def test_draws_equal_searchsorted_right(self, build):
+        t = build()
+        cdf = np.cumsum(t.probs)
+        us = {0.0, math.nextafter(1.0, 0.0)}
+        for c in cdf.tolist():
+            us |= {c, math.nextafter(c, 0.0), math.nextafter(c, 1.0)}
+        us = sorted(u for u in us if 0.0 <= u < 1.0)
+        stream = _Stream(us)
+        draws = [sample_by_inversion(t, stream) for _ in us]
+        want = [t.offset + min(int(np.searchsorted(cdf, u, side="right")), len(t) - 1) for u in us]
+        assert all(type(v) is int for v in draws)
+        assert draws == want
+
+    def test_short_table_clips(self):
+        t = kb_table(KempBinomial(1000, 0.653, Q5))
+        u = math.nextafter(1.0, 0.0)
+        assert t._cdf[-1] < u
+        assert sample_by_inversion(t, _Stream([u])) == t.last
 
 
 class TestSamplerGoodnessOfFit:
