@@ -1,60 +1,9 @@
 """Kemp q-binomial distribution, its limit family, and convergence diagnostics."""
 
-from .asymptotics import (
-    FractionalDrift,
-    LimitLaw,
-    MeanAsymptotics,
-    c_direct,
-    c_fourier,
-    dnorm_alpha,
-    floor_case,
-    limit_law,
-    mean_expansion,
-    sigma_limit,
-)
-from .distributions import (
-    Binomial,
-    DiscreteNormal,
-    Heine,
-    KempBinomial,
-    MomentPair,
-    PMFTable,
-    Poisson,
-    dnorm_pmf,
-    heine_mean,
-    heine_pmf,
-    kb_moments,
-    kb_pmf,
-    kb_sample,
-    kb_table,
-    reference_pmf,
-    reflect,
-    sample_by_inversion,
-)
-from .metrics import (
-    ConvergenceRow,
-    SweepReport,
-    convergence_sweep,
-    kolmogorov_distance,
-    tabulate,
-    tv_distance,
-)
-from .qcalc import (
-    E_q,
-    PoleError,
-    QBase,
-    ScaledReal,
-    e_q,
-    q_binomial,
-    q_number,
-    q_pochhammer,
-    q_pochhammer_inf,
-)
-from .solvers import (
-    ThetaSolveResult,
-    theta_for_mean,
-    theta_for_poisson,
-    theta_limit_for_mean,
-)
+from .asymptotics import *
+from .distributions import *
+from .metrics import *
+from .qcalc import *
+from .solvers import *
 
 __version__ = "0.1.0"

@@ -55,11 +55,13 @@ class FractionalDrift:
     offset: float = 0.0
 
     def __post_init__(self):
-        s = Fraction(self.slope)
+        s, offset = Fraction(self.slope), float(self.offset)
         if not 0 < s < 1:
             raise ValueError(f"slope must satisfy 0 < slope < 1, got {s}")
+        if not math.isfinite(offset):
+            raise ValueError(f"offset must be finite, got {offset}")
         object.__setattr__(self, "slope", s)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", offset)
 
     def value(self, n: int) -> float:
         return float(self.slope * n) + self.offset
@@ -92,7 +94,7 @@ class LimitLaw:
 
     lattice_probs lives on the integer lattice of X_n - shift(mu_n); sigma is
     the limiting standard deviation, delta the case selector floor(beta + c).
-    The normalized lattice point for integer x is position(x).
+    Lattice point x sits at (x - (beta + c - delta))/sigma on the normalized scale.
     """
 
     beta: float
@@ -101,10 +103,6 @@ class LimitLaw:
     delta: int
     c_value: float
     lattice_probs: PMFTable
-
-    def position(self, x: int) -> float:
-        """Location -(beta + c - delta)/sigma + x/sigma of lattice point x."""
-        return (x - (self.beta + self.c_value - self.delta)) / self.sigma
 
 
 def _beta_float(beta) -> float:

@@ -31,10 +31,8 @@ __all__ = [
     "SupportError",
     "TableMassError",
     "binomial_table",
-    "dnorm_pmf",
     "dnorm_table",
     "heine_mean",
-    "heine_pmf",
     "heine_table",
     "kb_log_pmf",
     "kb_moments",
@@ -42,7 +40,6 @@ __all__ = [
     "kb_sample",
     "kb_table",
     "poisson_table",
-    "reference_pmf",
     "reflect",
     "sample_by_inversion",
 ]
@@ -297,8 +294,8 @@ def kb_log_pmf(d: KempBinomial | Heine, x: int) -> float:
     return binom - _lattice_sum("softplus", -t - h, h, x) - _lattice_sum("softplus", t, h, n - x)
 
 
-def kb_pmf(d: KempBinomial, x: int) -> float:
-    """P(X = x) for X ~ KB(n, theta, q)."""
+def kb_pmf(d: KempBinomial | Heine, x: int) -> float:
+    """P(X = x) for X ~ KB(n, theta, q) or H(theta) = KB(inf, theta, q)."""
     return math.exp(kb_log_pmf(d, x))
 
 
@@ -410,11 +407,6 @@ def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None
 # Heine: KB(inf, theta, q)
 
 
-def heine_pmf(d: Heine, x: int) -> float:
-    """P(X = x) = q^{x(x-1)/2} theta^x / (q,q)_x * e_q(-theta), from kb_log_pmf at n = inf."""
-    return math.exp(kb_log_pmf(d, x))
-
-
 def heine_mean(d: Heine) -> float:
     """Mean of H(theta): sum_{i>=0} theta q^i / (1 + theta q^i), a sigmoid lattice sum."""
     return _logit_sum("sigmoid", d)
@@ -443,18 +435,11 @@ def dnorm_table(d: DiscreteNormal) -> PMFTable:
     return _normalised_table(round(d.alpha) - K, 0.5 * u * u * d.q.log)
 
 
-def dnorm_pmf(d: DiscreteNormal, x: int) -> float:
-    """P(X = x) on the integer lattice, read from dnorm_table."""
-    return dnorm_table(d).prob(x)
-
-
 # ---------------------------------------------------------------------------
 # classical reference laws
 
 
 def _binomial_log_pmf(n: int, p: float, x: int) -> float:
-    if x < 0 or x > n:
-        return -math.inf
     if p == 0.0:
         return 0.0 if x == 0 else -math.inf
     if p == 1.0:
@@ -464,20 +449,9 @@ def _binomial_log_pmf(n: int, p: float, x: int) -> float:
 
 
 def _poisson_log_pmf(lam: float, x: int) -> float:
-    if x < 0:
-        return -math.inf
     if lam == 0.0:
         return 0.0 if x == 0 else -math.inf
     return -lam + x * math.log(lam) - math.lgamma(x + 1)
-
-
-def reference_pmf(law, x: int) -> float:
-    """pmf of a classical reference law (Binomial or Poisson), log-space."""
-    if isinstance(law, Binomial):
-        return math.exp(_binomial_log_pmf(law.n, law.p, x))
-    if isinstance(law, Poisson):
-        return math.exp(_poisson_log_pmf(law.lam, x))
-    raise TypeError(f"not a reference law: {law!r}")
 
 
 def binomial_table(law: Binomial) -> PMFTable:

@@ -1,9 +1,9 @@
 """Distances between lattice laws and convergence sweeps over n.
 
-Total variation on the union lattice is the primary metric (the limit
-theorems state pointwise pmf convergence, which on these tight families is TV
-convergence); the Kolmogorov metric is kept as a cross-check. Sweeps turn
-each limit theorem into a per-n distance table with a pass/fail verdict.
+Total variation on the union lattice is the metric (the limit theorems state
+pointwise pmf convergence, which on these tight families is TV convergence).
+Sweeps turn each limit theorem into a per-n distance table with a pass/fail
+verdict.
 """
 
 from __future__ import annotations
@@ -40,19 +40,9 @@ __all__ = [
     "ConvergenceRow",
     "SweepReport",
     "convergence_sweep",
-    "kolmogorov_distance",
     "tabulate",
     "tv_distance",
 ]
-
-SCENARIOS = (
-    "poisson-coupling",
-    "constant-mean",
-    "subexponential",
-    "exponential-reflection",
-    "degenerate",
-    "q-to-1-binomial",
-)
 
 
 @dataclass(frozen=True)
@@ -136,22 +126,8 @@ def tv_distance(a: PMFTable, b: PMFTable) -> float:
     return _tv_rows(_rows(a), _rows(b))[0]
 
 
-def kolmogorov_distance(a: PMFTable, b: PMFTable) -> float:
-    """Max CDF gap over the union lattice."""
-    return float(np.max(np.abs(np.cumsum(_gaps(_rows(a), _rows(b))[0]))))
-
-
 # ---------------------------------------------------------------------------
 # sweeps
-
-_DEFAULT_THRESHOLDS = {
-    "poisson-coupling": 1e-6,
-    "constant-mean": 1e-6,
-    "subexponential": 1e-4,
-    "exponential-reflection": 1e-6,
-    "degenerate": 1e-5,
-    "q-to-1-binomial": 1e-3,
-}
 
 
 def _require(params: dict, *names: str) -> list:
@@ -298,14 +274,16 @@ def _sweep_q_to_1(q: QBase, params: dict, n_list) -> list:
     return rows
 
 
+# scenario: (sweep, default threshold)
 _SWEEPS = {
-    "poisson-coupling": _sweep_poisson,
-    "constant-mean": _sweep_constant_mean,
-    "subexponential": _sweep_subexponential,
-    "exponential-reflection": _sweep_reflection,
-    "degenerate": _sweep_degenerate,
-    "q-to-1-binomial": _sweep_q_to_1,
+    "poisson-coupling": (_sweep_poisson, 1e-6),
+    "constant-mean": (_sweep_constant_mean, 1e-6),
+    "subexponential": (_sweep_subexponential, 1e-4),
+    "exponential-reflection": (_sweep_reflection, 1e-6),
+    "degenerate": (_sweep_degenerate, 1e-5),
+    "q-to-1-binomial": (_sweep_q_to_1, 1e-3),
 }
+SCENARIOS = tuple(_SWEEPS)
 
 
 def convergence_sweep(scenario: str, params: dict, n_list: Sequence[int]) -> SweepReport:
@@ -318,16 +296,15 @@ def convergence_sweep(scenario: str, params: dict, n_list: Sequence[int]) -> Swe
     """
     if scenario not in _SWEEPS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    q = as_qbase(params["q"]) if "q" in params else None
-    if q is None:
-        raise ValueError("scenario parameters missing: q")
+    sweep, default_threshold = _SWEEPS[scenario]
+    q = as_qbase(*_require(params, "q"))
     if scenario != "q-to-1-binomial":
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
             raise ValueError("n_list must be nonempty and strictly increasing")
-    threshold = float(params.get("threshold", _DEFAULT_THRESHOLDS[scenario]))
+    threshold = float(params.get("threshold", default_threshold))
     if not 0.0 <= threshold < math.inf:
         raise ValueError(f"threshold must be nonnegative and finite, got {threshold!r}")
-    rows = _SWEEPS[scenario](q, params, list(n_list))
+    rows = sweep(q, params, list(n_list))
     return SweepReport(
         scenario=scenario,
         rows=tuple(rows),

@@ -1,7 +1,7 @@
 """Numerically robust q-calculus primitives.
 
-q-Pochhammer symbols (finite and infinite), Gaussian binomial coefficients,
-q-numbers and the two q-exponentials, plus a scaled number representation
+q-Pochhammer symbols (finite and infinite), ln (q; q)_n, q-numbers and the
+two q-exponentials, plus a scaled number representation
 (mantissa times an exact integer power of q) so that shape parameters like
 theta = q**(-n - f(n)) stay representable far beyond binary64 range.
 
@@ -25,7 +25,6 @@ __all__ = [
     "E_q",
     "e_q",
     "log_qq_factorial",
-    "q_binomial",
     "q_number",
     "q_pochhammer",
     "q_pochhammer_inf",
@@ -195,14 +194,6 @@ class ScaledReal:
         e = math.ceil(log_value / q.log)
         return cls._make(sign, math.exp(log_value - e * q.log), e, q)
 
-    @classmethod
-    def zero(cls, q) -> "ScaledReal":
-        return cls(1, 0.0, 0, as_qbase(q))
-
-    @classmethod
-    def one(cls, q) -> "ScaledReal":
-        return cls(1, 1.0, 0, as_qbase(q))
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -240,18 +231,13 @@ class ScaledReal:
             return self
         return ScaledReal(self.sign, self.mantissa, self.exponent + k, self.q)
 
-    def __neg__(self) -> "ScaledReal":
-        if self.is_zero:
-            return self
-        return ScaledReal(-self.sign, self.mantissa, self.exponent, self.q)
-
     def __mul__(self, other) -> "ScaledReal":
         if not isinstance(other, ScaledReal):
             other = ScaledReal.from_float(float(other), self.q)
         elif other.q.value != self.q.value:
             raise ValueError("mixed q bases in ScaledReal arithmetic")
         if self.is_zero or other.is_zero:
-            return ScaledReal.zero(self.q)
+            return ScaledReal(1, 0.0, 0, self.q)
         return self._make(
             self.sign * other.sign,
             self.mantissa * other.mantissa,
@@ -341,21 +327,6 @@ def log_qq_factorial(n: int, q) -> float:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return _lattice_sum("log1mexp", q.log, -q.log, n)
-
-
-def q_binomial(n: int, k: int, q) -> float:
-    """Gaussian binomial coefficient (q,q)_n / ((q,q)_k (q,q)_{n-k}).
-
-    Returns 0 outside 0 <= k <= n. Evaluated in log space.
-    """
-    q = as_qbase(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if k < 0 or k > n:
-        return 0.0
-    return math.exp(
-        log_qq_factorial(n, q) - log_qq_factorial(k, q) - log_qq_factorial(n - k, q)
-    )
 
 
 def q_number(x: float, q) -> float:

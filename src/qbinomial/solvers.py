@@ -58,6 +58,11 @@ def theta_for_poisson(n: int, q, lam: float) -> float:
     return lam / q_number(n - lam, q)
 
 
+def _check_mu(mu: float) -> None:
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
+
+
 def _solve(h: float, n, mu: float, t_hi: float) -> ThetaSolveResult:
     """theta with mean = sum_{i<n} sigmoid(ln theta - i h) = mu, given mean(e^t_hi) >= mu."""
     moments = {}  # theta -> (mean, variance) at every evaluated theta
@@ -110,8 +115,7 @@ def _solve(h: float, n, mu: float, t_hi: float) -> ThetaSolveResult:
 def theta_for_mean(n: int, q, mu: float) -> ThetaSolveResult:
     """Unique theta with mean of KB(n, theta, q) equal to mu (needs n >= 2 mu)."""
     q = as_qbase(q)
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     if n < 2 * mu:
         raise BracketError(f"need n >= 2 mu for a bracketed root, got n={n}, mu={mu}")
     h = -q.log
@@ -121,7 +125,6 @@ def theta_for_mean(n: int, q, mu: float) -> ThetaSolveResult:
 def theta_limit_for_mean(q, mu: float) -> ThetaSolveResult:
     """Limit theta(q) of the constant-mean sequence: solves mean of H(theta) = mu."""
     q = as_qbase(q)
-    if not mu > 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu(mu)
     h = -q.log
     return _solve(h, math.inf, mu, 2 * mu * h + 1)  # the mean is at least mu there

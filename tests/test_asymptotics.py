@@ -20,7 +20,7 @@ from qbinomial.asymptotics import (
 from qbinomial.distributions import (
     DiscreteNormal,
     KempBinomial,
-    dnorm_pmf,
+    dnorm_table,
     kb_moments,
 )
 from qbinomial.qcalc import QBase, ScaledReal, _lattice_sum
@@ -344,28 +344,17 @@ class TestLimitLaw:
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 0.7])
     def test_matches_discrete_normal_up_to_shift(self, beta):
         law = limit_law(beta, Q5)
-        dn = DiscreteNormal(dnorm_alpha(beta), Q5)
+        dn = dnorm_table(DiscreteNormal(dnorm_alpha(beta), Q5))
         t = law.lattice_probs
         gaps = []
         for shift in range(-5, 6):
             gaps.append(
                 max(
-                    abs(t.prob(x) - dnorm_pmf(dn, x + shift))
+                    abs(t.prob(x) - dn.prob(x + shift))
                     for x in range(-30, 31)
                 )
             )
         assert min(gaps) < 1e-10
-
-    def test_normalized_lattice_positions(self):
-        # positions -(beta + c - delta)/sigma + x/sigma
-        law = limit_law(0.3, Q5)
-        c = c_direct(0.3, Q5)
-        assert law.position(0) == pytest.approx(-(0.3 + c) / law.sigma, rel=1e-12)
-        assert law.position(3) - law.position(2) == pytest.approx(
-            1.0 / law.sigma, rel=1e-12
-        )
-        half = limit_law(0.5, Q5)
-        assert half.position(0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("qv", [0.2, 0.5, 0.9])
     def test_window_is_round_alpha_plus_minus_k(self, qv):

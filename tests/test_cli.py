@@ -436,11 +436,19 @@ class TestExitCodes:
             ["--scenario", "q-to-1-binomial", "--n", "10", "--theta", "-1", "--q-list", "0.99"],
             ["--scenario", "poisson-coupling", "--lambda", "2", "--n-list", "10", "--threshold", "nan"],
             ["--scenario", "poisson-coupling", "--lambda", "2", "--n-list", "10", "--threshold", "-1"],
+            ["--scenario", "subexponential", "--slope", "1/2", "--offset", "inf", "--n-list", "20:40:2"],
+            ["--scenario", "constant-mean", "--mu", "inf", "--n-list", "10"],
         ],
-        ids=["reflection-theta-0", "q-to-1-theta-negative", "threshold-nan", "threshold-negative"],
+        ids=["reflection-theta-0", "q-to-1-theta-negative", "threshold-nan", "threshold-negative",
+             "subexponential-offset-inf", "constant-mean-mu-inf"],
     )
     def test_bad_sweep_parameter(self, capsys, argv):
         code, out, err = run_cli(capsys, "converge", "--q", "0.5", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    def test_infinite_mu_is_bad_input(self, capsys):
+        code, out, err = run_cli(capsys, "solve-theta", "--q", "0.5", "--mu", "inf")
         assert code == 2 and out == ""
         assert err.startswith("error: ")
 

@@ -15,16 +15,13 @@ from qbinomial.distributions import (
     _half_width,
     _logit_rows,
     _logits,
-    heine_pmf,
     kb_moments,
     kb_pmf,
     kb_table,
-    reference_pmf,
     reflect,
 )
 from qbinomial.metrics import (
     convergence_sweep,
-    kolmogorov_distance,
     tabulate,
     tv_distance,
 )
@@ -80,6 +77,19 @@ def _dnorm_point_pmf(alpha: float, q: QBase):
     return lambda x: math.exp(0.5 * (x - alpha) ** 2 * q.log - log_z)
 
 
+def _binomial_point_pmf(n: int, p: float):
+    """pmf of Binomial(n, p) on {0, ..., n} from math.lgamma, for 0 < p < 1."""
+    return lambda x: math.exp(
+        math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+        + x * math.log(p) + (n - x) * math.log1p(-p)
+    )
+
+
+def _poisson_point_pmf(lam: float):
+    """pmf of Poisson(lam) on {0, 1, ...} from math.lgamma, for lam > 0."""
+    return lambda x: math.exp(x * math.log(lam) - lam - math.lgamma(x + 1))
+
+
 def _contract_case(name: str, q: QBase):
     """(law, its point pmf, its support) for the table-contract test."""
     if name == "kb":
@@ -87,27 +97,24 @@ def _contract_case(name: str, q: QBase):
         return d, lambda x: kb_pmf(d, x), (0, d.n)
     if name == "heine":
         d = Heine(5.0, q)
-        return d, lambda x: heine_pmf(d, x), (0, math.inf)
+        return d, lambda x: kb_pmf(d, x), (0, math.inf)
     if name == "dnorm":
         return DiscreteNormal(0.3, q), _dnorm_point_pmf(0.3, q), (-math.inf, math.inf)
     if name == "limit":
         return limit_law(0.3, q), _dnorm_point_pmf(dnorm_alpha(0.3), q), (-math.inf, math.inf)
     if name == "poisson":
-        law = Poisson(q.value / (1.0 - q.value))
-        return law, lambda x: reference_pmf(law, x), (0, math.inf)
-    law = Binomial(20, q.value)
-    return law, lambda x: reference_pmf(law, x), (0, law.n)
+        lam = q.value / (1.0 - q.value)
+        return Poisson(lam), _poisson_point_pmf(lam), (0, math.inf)
+    return Binomial(20, q.value), _binomial_point_pmf(20, q.value), (0, 20)
 
 
 class TestDistances:
     def test_identical_tables(self):
         t = tabulate(KempBinomial(5, 1.0, Q5))
         assert tv_distance(t, t) == 0.0
-        assert kolmogorov_distance(t, t) == 0.0
 
     def test_disjoint_point_masses(self):
         assert tv_distance(point_mass(0), point_mass(1)) == 1.0
-        assert kolmogorov_distance(point_mass(0), point_mass(1)) == 1.0
 
     def test_tv_stays_within_unit_interval(self):
         # entries may sum to 1 + 1e-12 within PMFTable's consistency tolerance
@@ -118,7 +125,6 @@ class TestDistances:
         a = tabulate(Binomial(1, 0.5))
         b = tabulate(Binomial(1, 0.25))
         assert tv_distance(a, b) == pytest.approx(0.25, rel=1e-12)
-        assert kolmogorov_distance(a, b) == pytest.approx(0.25, rel=1e-12)
 
     def test_metric_axioms_on_sampled_triples(self):
         tables = [
@@ -126,21 +132,12 @@ class TestDistances:
             tabulate(Binomial(6, 0.4)),
             tabulate(Heine(0.7, Q5)),
         ]
-        for m in (tv_distance, kolmogorov_distance):
-            for a in tables:
-                for b in tables:
-                    assert m(a, b) >= 0.0
-                    assert m(a, b) == pytest.approx(m(b, a), rel=1e-14)
-            a, b, c = tables
-            assert m(a, c) <= m(a, b) + m(b, c) + 1e-14
-
-    def test_kolmogorov_below_tv(self):
-        pairs = [
-            (tabulate(KempBinomial(6, 1.0, Q5)), tabulate(Binomial(6, 0.4))),
-            (tabulate(Heine(0.7, Q5)), tabulate(Poisson(0.7))),
-        ]
-        for a, b in pairs:
-            assert kolmogorov_distance(a, b) <= tv_distance(a, b) + 1e-14
+        for a in tables:
+            for b in tables:
+                assert tv_distance(a, b) >= 0.0
+                assert tv_distance(a, b) == pytest.approx(tv_distance(b, a), rel=1e-14)
+        a, b, c = tables
+        assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-14
 
     def test_tv_is_upper_end_under_uncaptured_mass(self):
         # each table may hold its missing 1e-7 anywhere, so the true TV of two
@@ -469,11 +466,10 @@ class TestBatchedRows:
             assert row.distance == tv_distance(reflected, point_mass(0))
             assert row.auxiliary == {"p0": reflected.prob(0)}
 
-    def test_tv_and_kolmogorov_use_the_union_gap(self):
+    def test_tv_uses_the_union_gap(self):
         kb = kb_table(KempBinomial(30, 2.0, Q5))
         tables = [point_mass(-3), point_mass(4), tabulate(Binomial(6, 0.4)), kb]
         for a in tables:
             for b in tables:
                 gap = union_gap(a, b)
-                assert kolmogorov_distance(a, b) == float(np.max(np.abs(np.cumsum(gap))))
                 assert tv_distance(a, b) == min(1.0, 0.5 * math.fsum(np.abs(gap).tolist()))

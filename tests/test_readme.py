@@ -1,8 +1,9 @@
 """Every example in README.md runs: each `qbinomial ...` line of its sh blocks
 exits 0 through cli.main and writes the same document as CSV and as JSON, and
-its Python quick tour executes."""
+its Python quick tour executes. Every name its Layout table gives exists."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -70,3 +71,32 @@ def test_csv_and_json_agree(capsys, argv):
             assert got == value or (math.isnan(got) and math.isnan(value))
     for name in CONSTANT_COLUMNS.get(argv[0], ()):
         assert len({record[name] for record in data}) == 1
+
+
+def layout_rows() -> list:
+    """(module, backticked Python identifiers) for each library row of the Layout table."""
+    section = README.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [re.match(r"\| `(qbinomial\.\w+)` \|(.*)\|$", line) for line in section.splitlines()]
+    return [(m[1], re.findall(r"`([A-Za-z_]\w*)`", m[2])) for m in rows if m and m[1] != "qbinomial.cli"]
+
+
+LAYOUT = layout_rows()
+
+
+def test_layout_lists_every_layer():
+    assert [module for module, _ in LAYOUT] == [
+        "qbinomial.qcalc",
+        "qbinomial.distributions",
+        "qbinomial.asymptotics",
+        "qbinomial.solvers",
+        "qbinomial.metrics",
+    ]
+
+
+@pytest.mark.parametrize("module, names", LAYOUT, ids=[module for module, _ in LAYOUT])
+def test_layout_names_resolve(module, names):
+    # a name resolves as a module attribute or as an attribute of a class defined there
+    mod = importlib.import_module(module)
+    classes = [v for v in vars(mod).values() if isinstance(v, type) and v.__module__ == module]
+    missing = [n for n in names if not hasattr(mod, n) and not any(hasattr(c, n) for c in classes)]
+    assert names and not missing
