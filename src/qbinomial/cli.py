@@ -321,18 +321,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         document = _emit(args, _COMMANDS[args.subcommand](args))
-    except (ValueError, KeyError, TypeError) as exc:
+        if getattr(args, "output", None):  # an unwritable path raises OSError, a bad parameter
+            with open(args.output, "w", newline="") as fh:
+                fh.write(document)
+        else:
+            sys.stdout.write(document)
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConsistencyError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 1
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", newline="") as fh:
-            fh.write(document)
-    else:
-        sys.stdout.write(document)
     return 0
 
 

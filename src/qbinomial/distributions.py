@@ -94,10 +94,6 @@ class KempBinomial(_CacheOwner):
             raise ValueError("theta must be nonnegative")
         object.__setattr__(self, "theta", th)
 
-    @property
-    def log_theta(self) -> float:
-        return self.theta.log_abs()
-
     @cached_property
     def _table(self) -> "PMFTable":
         """kb_table(self), built on first use and kept for the life of this law."""
@@ -215,16 +211,6 @@ class PMFTable(_CacheOwner):
             return float(self.probs[i])
         return 0.0
 
-    def _moved(self, offset: int, probs: np.ndarray) -> "PMFTable":
-        """These checked entries, reordered, on a new offset; a move cannot break a check."""
-        t = object.__new__(PMFTable)
-        t.__dict__.update(offset=offset, probs=probs, captured_mass=self.captured_mass)
-        return t
-
-    def shifted(self, k: int) -> "PMFTable":
-        """Table of X - k."""
-        return self._moved(self.offset - k, self.probs)
-
 
 def _half_width(q: QBase) -> int:
     """K, the least integer with ln(1/q) K(K-1)/2 >= 760, plus 2: 50 at q = 0.5, 1236 at 0.999.
@@ -299,9 +285,10 @@ def kb_pmf(d: KempBinomial | Heine, x: int) -> float:
     return math.exp(kb_log_pmf(d, x))
 
 
-def _window(logits: tuple, q: QBase, K: int, from_zero: bool) -> tuple[int, int, int]:
+def _window(logits: tuple, q: QBase, K: int) -> tuple[int, int, int]:
     """(mode, lo, hi) for the logits (ln m, e, n): the window lo..hi is mode +- K clipped to
-    {0, ..., n}, or 0..mode + K when from_zero.
+    {0, ..., n}, except that a Heine window (n = inf) starts at 0, because perfbench's
+    check_heine_table reads index i of a Heine table as x = i (ROADMAP item 1).
 
     The mode is the first x with l(x) = ln P(x+1)/P(x) <= 0, found by bisection:
     l(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) lies within c = -ln(1 - q) of
@@ -316,52 +303,59 @@ def _window(logits: tuple, q: QBase, K: int, from_zero: bool) -> tuple[int, int,
     b = min(n, max(0, math.floor((lm - c) / h) - e - 1))
     t = min(n, max(0, math.ceil((lm + c) / h) - e + 1))
     mode = b + bisect.bisect_left(range(b, t), True, key=lambda x: log_ratio(x) <= 0.0)
-    return mode, 0 if from_zero else max(0, mode - K), min(n, mode + K)
+    return mode, 0 if n == math.inf else max(0, mode - K), min(n, mode + K)
 
 
-def _logit_rows(triples: list, q: QBase, from_zero: bool = False) -> tuple[list[int], np.ndarray]:
-    """The tables of logit triples (ln m, e, n) at one q, as rows: (first x of each row, rows).
+def _log_ratios(x, a, lo, n, h: float) -> np.ndarray:
+    """KB's l(x) = ln P(x+1)/P(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)), h = ln(1/q).
 
-    l(x) = ln P(x+1)/P(x) falls by h = ln(1/q) or more per step, and a table's entries
-    are sums of l outward from its mode over its window (see _window). Row r holds
-    x = first[r], first[r] + 1, ..., and 0.0 off its window: the tables are laid out
-    with every mode at one index, so the ratios, both cumulative sums and exp run once
-    for all of them, in O(rows K) plus a bisection per row. Each row is divided by the
-    sum over its window alone, so it equals the table built from its triple alone, bit
-    for bit. With e + x an exact integer, t_x has no cancellation even where theta ~ q^(-n).
+    a = t_lo = ln m - (e + lo) h, so t_x = a - (x - lo) h keeps e + x an exact integer
+    and has no cancellation even where theta ~ q^(-n). Arrays broadcast elementwise.
     """
-    h, K = -q.log, _half_width(q)
-    many = len(triples) > 1
-    if not many:  # scalars, which broadcast like the columns below at a scalar's cost
-        (lm, e, n), (mode, lo, hi) = triples[0], _window(triples[0], q, K, from_zero)
-        left, width, first = mode - lo, hi - lo + 1, [lo]
-        a, x = lm - (e + lo) * h, np.arange(lo, hi)
-    else:  # x runs down the first axis, one column per table
-        modes, los, his = zip(*(_window(t, q, K, from_zero) for t in triples))
-        left = max(m - lo for m, lo in zip(modes, los))  # the modes' index
-        width = left + 1 + max(hi - m for m, hi in zip(modes, his))
-        first = [m - left for m in modes]
-        a = np.array([lm - (e + lo) * h for (lm, e, _), lo in zip(triples, los)])
-        lo, hi, n = np.array(los), np.array(his), np.array([t[2] for t in triples])
-        x = np.arange(width)[:, None] + first
-        inside = (lo <= x) & (x <= hi)
-        # ratios off the windows are zeroed below, and clipping keeps them finite
-        x, n = np.clip(x[:-1], lo, np.maximum(hi - 1, lo)), np.maximum(n, 1)
     ratio = np.expm1((x - n) * h)
     ratio /= np.expm1((-1 - x) * h)
     ell = a - h * (x - lo)
     ell += np.log(ratio, out=ratio)
-    if many:
-        ell *= inside[:-1] & inside[1:]
-    logw = np.empty((width,) + ell.shape[1:])
-    logw[left] = 0.0
-    np.cumsum(ell[left:], axis=0, out=logw[left + 1 :])
-    np.cumsum(ell[:left][::-1], axis=0, out=logw[:left][::-1])
-    np.negative(logw[:left], out=logw[:left])
-    probs = np.exp(logw, out=logw)
-    if not many:
-        probs /= probs.sum()
-        return first, probs[None]
+    return ell
+
+
+def _outward(ell: np.ndarray, mode: int) -> np.ndarray:
+    """ln P(x)/P(mode) along axis 0 from the log ratios ell(x) = ln P(x+1)/P(x).
+
+    Index mode is 0.0, and both cumulative sums run outward from it, so terms near the
+    mode, which are small, come first.
+    """
+    logw = np.empty((ell.shape[0] + 1,) + ell.shape[1:])
+    logw[mode] = 0.0
+    np.cumsum(ell[mode:], axis=0, out=logw[mode + 1 :])
+    np.cumsum(ell[:mode][::-1], axis=0, out=logw[:mode][::-1])
+    np.negative(logw[:mode], out=logw[:mode])
+    return logw
+
+
+def _logit_rows(triples: list, q: QBase) -> tuple[list[int], np.ndarray]:
+    """The tables of logit triples (ln m, e, n) at one q, as rows: (first x of each row, rows).
+
+    Row r holds x = first[r], first[r] + 1, ..., and 0.0 off its window: the tables are
+    laid out with every mode at one index, so the ratios, both cumulative sums and exp
+    run once for all of them, in O(rows K) plus a bisection per row. Each row is divided
+    by the sum over its window alone, so it equals _logit_table of its triple, bit for bit.
+    """
+    h, K = -q.log, _half_width(q)
+    modes, los, his = zip(*(_window(t, q, K) for t in triples))
+    left = max(m - lo for m, lo in zip(modes, los))  # the modes' index
+    width = left + 1 + max(hi - m for m, hi in zip(modes, his))
+    first = [m - left for m in modes]
+    a = np.array([lm - (e + lo) * h for (lm, e, _), lo in zip(triples, los)])
+    lo, hi, n = np.array(los), np.array(his), np.array([t[2] for t in triples])
+    x = np.arange(width)[:, None] + first  # x runs down the first axis, one column per table
+    inside = (lo <= x) & (x <= hi)
+    # ratios off the windows are zeroed below, and clipping keeps them finite
+    x, n = np.clip(x[:-1], lo, np.maximum(hi - 1, lo)), np.maximum(n, 1)
+    ell = _log_ratios(x, a, lo, n, h)
+    ell *= inside[:-1] & inside[1:]
+    probs = _outward(ell, left)
+    np.exp(probs, out=probs)
     probs *= inside
     probs = np.ascontiguousarray(probs.T)  # a sum's rounding depends on its length and layout
     sums = [row[b - f : c - f + 1].sum() for row, f, b, c in zip(probs, first, los, his)]
@@ -371,17 +365,17 @@ def _logit_rows(triples: list, q: QBase, from_zero: bool = False) -> tuple[list[
     return first, probs
 
 
-def _logit_table(d: KempBinomial | Heine, from_zero: bool) -> PMFTable:
-    """d's table: the one-row case of _logit_rows."""
-    first, probs = _logit_rows([_logits(d)], d.q, from_zero)
-    probs = probs[0]
-    probs.flags.writeable = False  # PMFTable keeps it without a copy
-    return PMFTable(first[0], probs, 1.0)
+def _logit_table(d: KempBinomial | Heine) -> PMFTable:
+    """d's table on its window (see _window): l(x) summed outward from the mode."""
+    (lm, e, n), h = _logits(d), -d.q.log
+    mode, lo, hi = _window((lm, e, n), d.q, _half_width(d.q))
+    ell = _log_ratios(np.arange(lo, hi), lm - (e + lo) * h, lo, n, h)
+    return _normalised_table(lo, _outward(ell, mode - lo))
 
 
 def kb_table(d: KempBinomial) -> PMFTable:
     """Table on the window mode +- K of {0, ..., n}, in O(K + log n)."""
-    return _logit_table(d, from_zero=False)
+    return _logit_table(d)
 
 
 def kb_moments(d: KempBinomial | Heine) -> MomentPair:
@@ -417,7 +411,7 @@ def heine_table(d: Heine) -> PMFTable:
 
     The window starts at 0 whatever the mode, so offset is always 0.
     """
-    return _logit_table(d, from_zero=True)
+    return _logit_table(d)
 
 
 # ---------------------------------------------------------------------------
@@ -439,35 +433,38 @@ def dnorm_table(d: DiscreteNormal) -> PMFTable:
 # classical reference laws
 
 
-def _binomial_log_pmf(n: int, p: float, x: int) -> float:
-    if p == 0.0:
-        return 0.0 if x == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if x == n else -math.inf
-    comb = math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
-    return comb + x * math.log(p) + (n - x) * math.log1p(-p)
+def _bernstein_table(mean: float, var: float, last: int | float, log_ratios) -> PMFTable:
+    """Table of a log-concave law on {0, ..., last} from its mean, variance and log ratios.
 
-
-def _poisson_log_pmf(lam: float, x: int) -> float:
-    if lam == 0.0:
-        return 0.0 if x == 0 else -math.inf
-    return -lam + x * math.log(lam) - math.lgamma(x + 1)
+    The window is mean +- d clipped to the support, d = T/3 + sqrt(T^2/9 + 2 T var) with
+    T = 760: Bernstein's bound P(|X - mean| >= d) <= 2 exp(-d^2 / (2 (var + d/3))) holds
+    for a sum of independent trials with values in [0, 1] and for its Poisson limit, and
+    is 2 e^-760 at that d, so the omitted tails are 0.0 in binary64. log_ratios(x) is
+    ln P(x+1)/P(x) on the window, which decreases, so the mode is the first x where it
+    is <= 0. A law with no variance is the point mass at its mean.
+    """
+    if not var:
+        return _normalised_table(round(mean), np.zeros(1))
+    T = 760.0
+    d = T / 3.0 + math.sqrt(T * T / 9.0 + 2.0 * T * var)
+    lo, hi = max(0, math.floor(mean - d)), min(last, math.ceil(mean + d))
+    ell = log_ratios(np.arange(lo, hi))
+    return _normalised_table(lo, _outward(ell, int(np.count_nonzero(ell > 0.0))))
 
 
 def binomial_table(law: Binomial) -> PMFTable:
-    """Table on the whole support {0, ..., n}."""
-    return _normalised_table(0, np.array([_binomial_log_pmf(law.n, law.p, x) for x in range(law.n + 1)]))
+    """Bernstein window of Binomial(n, p): l(x) = ln(p/(1-p)) + ln((n-x)/(x+1))."""
+    n, p = law.n, law.p
+    return _bernstein_table(
+        n * p, n * p * (1.0 - p), n,
+        lambda x: np.log((n - x) / (x + 1)) + (math.log(p) - math.log1p(-p)),  # called only if 0 < p < 1
+    )
 
 
 def poisson_table(law: Poisson) -> PMFTable:
-    """Table on {0, ..., X}, X = ceil(lam + d) with d = T/3 + sqrt(T^2/9 + 2 T lam), T = 760.
-
-    Bernstein's bound P(X >= lam + d) <= exp(-d^2 / (2 (lam + d/3))) is e^-760 at that
-    d, so the omitted tail is 0.0 in binary64. Poisson(0) is the point mass at 0.
-    """
-    T = 760.0
-    last = math.ceil(law.lam + T / 3.0 + math.sqrt(T * T / 9.0 + 2.0 * T * law.lam)) if law.lam else 0
-    return _normalised_table(0, np.array([_poisson_log_pmf(law.lam, x) for x in range(last + 1)]))
+    """Bernstein window of Poisson(lam): l(x) = ln(lam/(x+1)). Poisson(0) is the point mass at 0."""
+    lam = law.lam
+    return _bernstein_table(lam, lam, math.inf, lambda x: np.log(lam / (x + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,4 +500,4 @@ def reflect(t: PMFTable, n: int) -> PMFTable:
         raise SupportError(
             f"support [{t.offset}, {t.last}] not contained in [0, {n}]"
         )
-    return t._moved(n - t.last, t.probs[::-1])  # a view of read-only probs is read-only
+    return PMFTable(n - t.last, t.probs[::-1], t.captured_mass)  # kept as a read-only view, not copied

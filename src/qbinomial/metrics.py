@@ -156,7 +156,7 @@ def _reflected(rows: tuple, ns: list) -> tuple:
 
 
 def _kb_distances(laws: list, q: QBase, limit: tuple, shifts: list | None = None) -> list[float]:
-    """tv_distance(kb_table(d).shifted(k), limit) for each law d and its shift k (default 0)."""
+    """tv_distance(table of X - k for X ~ d, limit) for each law d and its shift k (default 0)."""
     out = []
     for part, (first, probs, mass) in _kb_sets(laws, q):
         if shifts is not None:

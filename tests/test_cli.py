@@ -413,6 +413,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error: alpha")
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "a-directory"])
+    def test_unwritable_output(self, capsys, tmp_path, target):
+        code, out, err = run_cli(
+            capsys, "--output", str(tmp_path / target), "moments", "--dist", "kb", "--n", "5",
+            "--theta", "1", "--q", "0.5",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -50,7 +50,7 @@ def bernoulli_sample(d: KempBinomial, rng, size: int) -> np.ndarray:
 
     Trial i succeeds with probability theta q^i / (1 + theta q^i); O(n) per draw.
     """
-    probs = expit(d.log_theta + np.arange(d.n) * d.q.log)
+    probs = expit(d.theta.log_abs() + np.arange(d.n) * d.q.log)
     out = np.empty(size, dtype=np.int64)
     step = max(1, (1 << 21) // max(d.n, 1))
     for start in range(0, size, step):
@@ -474,6 +474,37 @@ class TestReferenceLaws:
         t = poisson_table(Poisson(0.0))
         assert (t.offset, t.probs.tolist()) == (0, [1.0])
 
+    @pytest.mark.parametrize("law, offset", [(Binomial(7, 1.0), 7), (Binomial(7, 0.0), 0)])
+    def test_binomial_point_masses(self, law, offset):
+        t = binomial_table(law)
+        assert (t.offset, t.probs.tolist()) == (offset, [1.0])
+
+    @pytest.mark.parametrize(
+        "law",
+        [Binomial(100_000, 0.3), Binomial(1_000_000, 0.5), Poisson(1e4), Poisson(1e6)],
+        ids=repr,
+    )
+    def test_large_laws_against_mpmath(self, law):
+        # the Bernstein window mean +- d, d = T/3 + sqrt(T^2/9 + 2 T var), T = 760
+        if isinstance(law, Binomial):
+            mean, var = law.n * law.p, law.n * law.p * (1 - law.p)
+        else:
+            mean = var = law.lam
+        t = binomial_table(law) if isinstance(law, Binomial) else poisson_table(law)
+        d = 760 / 3 + math.sqrt(760**2 / 9 + 2 * 760 * var)
+        assert len(t) <= 2 * d + 3
+        sd = math.sqrt(var)
+        with mp.workdps(40):
+            for k in (-5, -2, 0, 2, 5):
+                x = math.floor(mean + k * sd)
+                if isinstance(law, Binomial):
+                    p = mp.mpf(law.p)
+                    ref = mp.binomial(law.n, x) * p**x * (1 - p) ** (law.n - x)
+                else:
+                    lam = mp.mpf(law.lam)
+                    ref = mp.exp(-lam + x * mp.log(lam) - mp.loggamma(x + 1))
+                assert t.prob(x) == pytest.approx(float(ref), rel=1e-11, abs=0)
+
 
 class TestInversionSampling:
     def test_point_table(self):
@@ -675,7 +706,7 @@ class TestSingleDrawRule:
             lambda: heine_table(Heine(1.5, Q5)),
             lambda: dnorm_table(DiscreteNormal(0.3, Q5)),
             lambda: reflect(kb_table(KempBinomial(30, 2.0, Q5)), 30),
-            lambda: kb_table(KempBinomial(30, 2.0, Q5)).shifted(7),
+            lambda: PMFTable(-7, kb_table(KempBinomial(30, 2.0, Q5)).probs, 1.0),
             lambda: PMFTable(0, np.array([0.25, 0.0, 0.75]), 1.0),
         ],
         ids=["kb-short", "kb-q0.999", "heine", "dnorm", "reflect", "shifted", "zero-entry"],
@@ -735,7 +766,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             KempBinomial(True, 1.0, Q5)
 
-    # only rejected values: a table for a huge finite lambda or n holds O(lambda) or O(n) entries
+    # only rejected values: a table for a huge finite lambda or n holds O(sqrt(lambda)) or O(sqrt(n)) entries
     @pytest.mark.parametrize("lam", [math.inf, -1.0, math.nan])
     def test_poisson_rejects(self, lam):
         with pytest.raises(ValueError):
