@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import DiscreteNormal, PMFTable, dnorm_table
-from .qcalc import _ALT, _DIRECT_T, _K, _SERIES_DECAY, QBase, _lattice_sum, _one_minus_q_pow, as_qbase
+from .qcalc import _ALT, _DIRECT_T, _K, _SERIES_DECAY, QBase, _lattice_sums, _one_minus_q_pow, as_qbase
 
 __all__ = [
     "ConsistencyError",
@@ -208,10 +208,7 @@ def sigma_limit(beta, q) -> float:
             coef = 4.0 * a * math.exp(-a) / -math.expm1(-2.0 * a)  # 2 a/sinh(a), never overflows
             parts.append(coef * math.cos(2.0 * k * math.pi * b))
         return math.fsum(parts) / h
-    return math.fsum([
-        _lattice_sum("dsigmoid", -b * h, h, math.inf),
-        _lattice_sum("dsigmoid", -(1.0 - b) * h, h, math.inf),
-    ])
+    return math.fsum(_lattice_sums(("dsigmoid",), [(-b * h, math.inf), (-(1.0 - b) * h, math.inf)], h)[0])
 
 
 def dnorm_alpha(beta) -> float:

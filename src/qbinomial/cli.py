@@ -29,7 +29,7 @@ from .distributions import (
     DiscreteNormal,
     Heine,
     KempBinomial,
-    _logit_sum,
+    _logit_sums,
     kb_moments,
     sample_by_inversion,
 )
@@ -154,10 +154,11 @@ def _cmd_moments(args) -> dict:
     if isinstance(law, (KempBinomial, Heine)):
         m = kb_moments(law)
         return {"mean": [m.mean], "variance": [m.variance]}
-    t = tabulate(law)
-    xs = t.x_values().astype(float)
-    mean = float(np.dot(xs, t.probs))
-    return {"mean": [mean], "variance": [float(np.dot((xs - mean) ** 2, t.probs))]}
+    # the discrete normal: both sums in u = x - round(alpha), which keep their digits at any alpha
+    t, center = tabulate(law), round(law.alpha)
+    u = (t.x_values() - center).astype(float)
+    mean = float(np.dot(u, t.probs))
+    return {"mean": [center + mean], "variance": [float(np.dot((u - mean) ** 2, t.probs))]}
 
 
 def _cmd_sample(args) -> dict:
@@ -175,7 +176,7 @@ def _cmd_asym(args) -> dict:
     ns = parse_n_list(args.n_list)
     rs = [mean_expansion(n, drift, q) for n in ns]
     laws = [KempBinomial(n, ScaledReal.from_q_power(-r.f_value, q), q) for n, r in zip(ns, rs)]
-    direct = [_logit_sum("sigmoid", d) for d in laws]
+    (direct,) = _logit_sums(("sigmoid",), laws)
     return {
         "n": ns,
         "f": [r.f_value for r in rs],

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .qcalc import QBase, ScaledReal, _lattice_sum, as_qbase, log_qq_factorial
+from .qcalc import QBase, ScaledReal, _lattice_sums, as_qbase
 
 __all__ = [
     "Binomial",
@@ -251,15 +251,14 @@ def _logits(d: KempBinomial | Heine) -> tuple[float, int, int | float]:
     return (math.log(m), e, n) if m else (0.0, 0, 0)
 
 
-def _logit_sum(kind: str, d: KempBinomial | Heine) -> float:
-    """sum_{i<n} g(t_i) over d's logits: the mean for g = sigmoid, the variance for dsigmoid.
+def _logit_sums(kinds: tuple, laws: list) -> list[list[float]]:
+    """For each kind g, sum_{i<n} g(t_i) over each law's logits, in one kernel call; one q for all.
 
-    Both are exact Bernoulli-sum identities: trial i succeeds with probability
-    sigmoid(t_i) = theta q^i / (1 + theta q^i).
+    g = sigmoid gives the mean and dsigmoid the variance, both exact Bernoulli-sum
+    identities: trial i succeeds with probability sigmoid(t_i) = theta q^i / (1 + theta q^i).
     """
-    lm, e, n = _logits(d)
-    h = -d.q.log
-    return _lattice_sum(kind, lm - e * h, h, n)
+    h = -laws[0].q.log
+    return _lattice_sums(kinds, [(lm - e * h, n) for lm, e, n in map(_logits, laws)], h)
 
 
 def kb_log_pmf(d: KempBinomial | Heine, x: int) -> float:
@@ -275,9 +274,10 @@ def kb_log_pmf(d: KempBinomial | Heine, x: int) -> float:
         return -math.inf
     h = -d.q.log
     t = lm - (e + x) * h  # ln(theta q^x), e + x exact
-    block = _lattice_sum("log1mexp", (x - n - 1) * h, h, x) if n < math.inf else 0.0
-    binom = block - log_qq_factorial(x, d.q)
-    return binom - _lattice_sum("softplus", -t - h, h, x) - _lattice_sum("softplus", t, h, n - x)
+    block = _lattice_sums(("log1mexp",), [((x - n - 1) * h, x)], h)[0][0] if n < math.inf else 0.0
+    binom = block - _lattice_sums(("log1mexp",), [(-h, x)], h)[0][0]  # - ln (q; q)_x
+    below = _lattice_sums(("softplus",), [(-t - h, x)], h)[0][0]
+    return binom - below - _lattice_sums(("softplus",), [(t, n - x)], h)[0][0]
 
 
 def kb_pmf(d: KempBinomial | Heine, x: int) -> float:
@@ -384,7 +384,8 @@ def kb_moments(d: KempBinomial | Heine) -> MomentPair:
     mean = sum_i theta q^i / (1 + theta q^i), variance replaces the
     denominator by its square; both are exact Bernoulli-sum identities.
     """
-    return MomentPair(_logit_sum("sigmoid", d), _logit_sum("dsigmoid", d))
+    (mean,), (variance,) = _logit_sums(("sigmoid", "dsigmoid"), [d])
+    return MomentPair(mean, variance)
 
 
 def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None):
@@ -403,7 +404,7 @@ def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None
 
 def heine_mean(d: Heine) -> float:
     """Mean of H(theta): sum_{i>=0} theta q^i / (1 + theta q^i), a sigmoid lattice sum."""
-    return _logit_sum("sigmoid", d)
+    return _logit_sums(("sigmoid",), [d])[0][0]
 
 
 def heine_table(d: Heine) -> PMFTable:
@@ -464,7 +465,12 @@ def binomial_table(law: Binomial) -> PMFTable:
 def poisson_table(law: Poisson) -> PMFTable:
     """Bernstein window of Poisson(lam): l(x) = ln(lam/(x+1)). Poisson(0) is the point mass at 0."""
     lam = law.lam
-    return _bernstein_table(lam, lam, math.inf, lambda x: np.log(lam / (x + 1)))
+
+    def log_ratios(x):
+        with np.errstate(divide="ignore"):  # lam / (x + 1) underflows to 0 far out when lam <= 1e-322
+            return np.log(lam / (x + 1))
+
+    return _bernstein_table(lam, lam, math.inf, log_ratios)
 
 
 # ---------------------------------------------------------------------------

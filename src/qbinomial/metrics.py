@@ -25,7 +25,7 @@ from .distributions import (
     Poisson,
     _half_width,
     _logit_rows,
-    _logit_sum,
+    _logit_sums,
     _logits,
     binomial_table,
     dnorm_table,
@@ -34,7 +34,7 @@ from .distributions import (
     poisson_table,
 )
 from .qcalc import QBase, ScaledReal, as_qbase
-from .solvers import theta_for_mean, theta_for_poisson, theta_limit_for_mean
+from .solvers import _thetas_for_mean, theta_for_poisson
 
 __all__ = [
     "ConvergenceRow",
@@ -170,17 +170,18 @@ def _sweep_poisson(q: QBase, params: dict, n_list) -> list:
     limit = _rows(tabulate(Heine((1.0 - q.value) * lam, q)))
     thetas = [theta_for_poisson(n, q, lam) for n in n_list]
     laws = [KempBinomial(n, theta, q) for n, theta in zip(n_list, thetas)]
+    (means,) = _logit_sums(("sigmoid",), laws)
     return [
-        ConvergenceRow(d.n, dist, {"theta": theta, "mean": _logit_sum("sigmoid", d)})
-        for d, theta, dist in zip(laws, thetas, _kb_distances(laws, q, limit))
+        ConvergenceRow(n, dist, {"theta": theta, "mean": mean})
+        for n, theta, mean, dist in zip(n_list, thetas, means, _kb_distances(laws, q, limit))
     ]
 
 
 def _sweep_constant_mean(q: QBase, params: dict, n_list) -> list:
     (mu,) = _require(params, "mu")
-    theta_inf = theta_limit_for_mean(q, mu).theta
+    limit_sol, *sols = _thetas_for_mean(q, mu, [math.inf, *n_list])
+    theta_inf = limit_sol.theta
     limit = _rows(tabulate(Heine(theta_inf, q)))
-    sols = [theta_for_mean(n, q, mu) for n in n_list]
     laws = [KempBinomial(n, sol.theta, q) for n, sol in zip(n_list, sols)]
     return [
         ConvergenceRow(
@@ -211,15 +212,17 @@ def _sweep_subexponential(q: QBase, params: dict, n_list) -> list:
     # shift floor(mu_n); at beta = 1/2 the half-integer rule takes ceil(mu_n) once 2 f(n) > n - 1
     half = beta == Fraction(1, 2)
     exact_offset = Fraction(drift.offset)
-    laws, means, shifts = [], [], []
+    laws = []
     for n in n_list:
         f = drift.value(n)
         if not 0.0 < f < n:
             raise ValueError(f"f({n}) = {f} outside (0, n)")
         laws.append(KempBinomial(n, ScaledReal.from_q_power(-f, q), q))
-        means.append(_logit_sum("sigmoid", laws[-1]))
-        up = half and 2 * (drift.slope * n + exact_offset) > n - 1
-        shifts.append(math.ceil(means[-1]) if up else math.floor(means[-1]))
+    (means,) = _logit_sums(("sigmoid",), laws)
+    shifts = [
+        math.ceil(mu) if half and 2 * (drift.slope * n + exact_offset) > n - 1 else math.floor(mu)
+        for n, mu in zip(n_list, means)
+    ]
     beta_value = float(beta)
     return [
         ConvergenceRow(n, dist, {"mean": mu, "shift": float(k), "beta": beta_value})

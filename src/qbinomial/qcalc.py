@@ -72,11 +72,14 @@ _DIRECT_T = 1.0
 _SERIES_DECAY = 45.0
 _K = np.arange(1.0, 2.0 + math.ceil(_SERIES_DECAY / _DIRECT_T))
 _ALT = np.where(_K % 2, 1.0, -1.0)
-_KINDS = {  # kind: (g, c_k)
-    "sigmoid": (lambda t: 1.0 / (1.0 + np.exp(-t)), _ALT),
-    "dsigmoid": (lambda t: 0.25 / np.cosh(0.5 * t) ** 2, _ALT * _K),
-    "softplus": (lambda t: np.log1p(np.exp(t)), _ALT / _K),
-    "log1mexp": (lambda t: np.log(-np.expm1(t)), -1.0 / _K),
+_KINDS = {  # kind: (g, (c_k, -c_k))
+    kind: (g, (c, -c))
+    for kind, g, c in (
+        ("sigmoid", lambda t: 1.0 / (1.0 + np.exp(-t)), _ALT),
+        ("dsigmoid", lambda t: 0.25 / np.cosh(0.5 * t) ** 2, _ALT * _K),
+        ("softplus", lambda t: np.log1p(np.exp(t)), _ALT / _K),
+        ("log1mexp", lambda t: np.log(-np.expm1(t)), -1.0 / _K),
+    )
 }
 
 
@@ -94,37 +97,120 @@ def _fold(M: int, x: float, E: int, h: float) -> float:
     return (M * a * d - E * c * b) / (b * d)
 
 
-def _lattice_sum(kind: str, a: float, h: float, n) -> float:
-    """sum_{i<n} g(a - i h) for h > 0 and n a nonnegative int or math.inf.
+def _blocks(a: float, h: float, n) -> tuple:
+    """(iu, il, t0, s, size): t = a - i h is >= T for i < iu and <= -T for il <= i < n, T = _DIRECT_T.
+
+    The block il <= i < n has series terms c_k e^(k t0) (1 - e^(k s)) / (1 - q^k) for
+    k = 1..size (size = 0 if the block is empty), t0 = a - il h and s = -(n - il) h, or
+    -inf where 1 - e^(k s) rounds to 1.
+    """
+    iu = 0 if a < _DIRECT_T else min(n, math.floor((a - _DIRECT_T) / h) + 1)
+    il = min(n, max(iu, math.ceil((a + _DIRECT_T) / h)))
+    if il == n:
+        return iu, il, 0.0, -math.inf, 0
+    t0, count = a - il * h, n - il
+    s = -h * count if count * h < _SERIES_DECAY else -math.inf
+    return iu, il, t0, s, 1 + math.ceil(_SERIES_DECAY / -t0)
+
+
+def _series(coefs: tuple, below: np.ndarray, size: int, power: np.ndarray, geometric) -> list:
+    """The terms c_k e^(k t0) (1 - e^(k s)) / (1 - q^k), k = 1..size, from coefs = (c_k, -c_k),
+    below = 1 - q^k, power = e^(k t0) and geometric = e^(k s) - 1, or None if every s is -inf;
+    a list per row for rows. With -c_k, a product by e^(k s) - 1 has the bits of one by 1 - e^(k s)."""
+    coef, negated = coefs
+    terms = (coef if geometric is None else negated)[:size] * power
+    terms /= below[:size]
+    if geometric is not None:
+        terms *= geometric
+    return terms.tolist()
+
+
+def _upper(kind: str, a: float, iu: int, back: float, h: float) -> list:
+    """Parts of the block i < iu, where t >= T, from back, the sum of g(-t) over it."""
+    if kind == "sigmoid":
+        return [float(iu), -back]
+    if kind == "softplus":  # the block's sum of t, exact before its one rounding
+        return [_fold(iu, a, iu * (iu - 1) // 2, h), back]
+    return [back]
+
+
+def _lattice_sums(kinds, points, h: float) -> list[list[float]]:
+    """[[sum_{i<n} g(a - i h) for (a, n) in points] for g in kinds], h > 0, n an int >= 0 or inf.
 
     g is sigmoid(t) = 1/(1 + e^-t), dsigmoid = sigmoid (1 - sigmoid),
     softplus(t) = ln(1 + e^t) or log1mexp(t) = ln(1 - e^t) (needs a < 0).
-    With T = _DIRECT_T, the block t <= -T is closed with g's series, each
-    term summed over the block as a geometric series (for sigmoid, Euler's
-    sum_l (-1)^(l-1) x^l / (1 - q^l)); by g's symmetry the block t >= T is a
-    base plus that sum over the mirrored block. The cost is O(1/h) for any n.
+    With T = _DIRECT_T, the terms with |t| < T are summed directly and the block
+    t <= -T is closed with g's series, each term summed over the block as a
+    geometric series (for sigmoid, Euler's sum_l (-1)^(l-1) x^l / (1 - q^l)); by
+    g's symmetry the block t >= T is a base plus that sum over the mirrored block,
+    whose lattice starts at (iu - 1) h - a, which is -T or below up to rounding
+    (a term that rounds above -T is summed directly). The cost is O(1/h) per
+    point for any n. The kinds share the lattice points and powers, and many
+    points share one numpy pass (_batch_sums). Each sum's parts do not depend on
+    the batch, and math.fsum rounds them once, so a sum has the same bits alone
+    or batched.
     """
-    direct, coef = _KINDS[kind]
-    # t >= T for i < iu, t <= -T for i >= il
-    iu = 0 if a < _DIRECT_T else min(n, math.floor((a - _DIRECT_T) / h) + 1)
-    il = min(n, max(iu, math.ceil((a + _DIRECT_T) / h)))
-    parts = direct(a - np.arange(iu, il) * h).tolist() if il > iu else []
-    if iu:
-        mirror = _lattice_sum(kind, (iu - 1) * h - a, h, iu)  # sum of g(-t) over the block
-        if kind == "sigmoid":
-            parts += [float(iu), -mirror]
-        elif kind == "softplus":  # the block's sum of t, exact before its one rounding
-            parts += [_fold(iu, a, iu * (iu - 1) // 2, h), mirror]
-        else:
-            parts.append(mirror)
-    if il < n:
-        t0, count = a - il * h, n - il
-        k = _K[: 1 + math.ceil(_SERIES_DECAY / -t0)]
-        terms = coef[: k.size] * np.exp(k * t0) / _one_minus_q_pow(h)[: k.size]
-        if count * h < _SERIES_DECAY:  # else 1 - e^{-k h count} rounds to 1
-            terms *= -np.expm1(k * (-h * count))
-        parts += terms.tolist()
-    return math.fsum(parts)
+    if len(points) != 1:
+        return _batch_sums(kinds, points, h)
+    (a, n), = points  # in 1-d arrays, which cost less than rows of one
+    iu, il, t0, s, size = _blocks(a, h, n)
+    below = _one_minus_q_pow(h)
+    if size:
+        k = _K[:size]
+        power, geometric = np.exp(k * t0), np.expm1(k * s) if s > -math.inf else None
+    if il > iu:
+        t = a - np.arange(iu, il) * h
+    if iu:  # the mirrored block
+        m = (iu - 1) * h - a
+        _, ml, t0, s, msize = _blocks(m, h, iu)
+        if msize:
+            k = _K[:msize]
+            mpower, mgeometric = np.exp(k * t0), np.expm1(k * s) if s > -math.inf else None
+    sums = []
+    for kind in kinds:
+        g, coefs = _KINDS[kind]
+        parts = g(t).tolist() if il > iu else []
+        if size:
+            parts += _series(coefs, below, size, power, geometric)
+        if iu:
+            back = g(m - np.arange(ml) * h).tolist() if ml else []
+            if msize:
+                back += _series(coefs, below, msize, mpower, mgeometric)
+            parts += _upper(kind, a, iu, math.fsum(back), h)
+        sums.append([math.fsum(parts)])
+    return sums
+
+
+def _batch_sums(kinds, points, h: float) -> list[list[float]]:
+    """_lattice_sums with each point's direct terms and each block's series as rows of 2-d arrays."""
+    segs = [(a, *_blocks(a, h, n)) for a, n in points]  # the points, then their mirrors
+    ups = [(p, a, iu) for p, (a, iu, _, _, _, _) in enumerate(segs) if iu]
+    for _, a, iu in ups:
+        m = (iu - 1) * h - a
+        segs.append((m, *_blocks(m, h, iu)))
+    spans = [(a, iu, il - iu) for a, iu, il, _, _, _ in segs if il > iu]
+    if spans:  # row r holds span r's lattice points, padded to the longest span
+        a, iu, size = zip(*spans)
+        t = np.array(a)[:, None] - (np.array(iu)[:, None] + np.arange(max(size))) * h
+    rows = [seg[3:] for seg in segs if seg[5]]  # (t0, s, size)
+    if rows:  # row r holds the powers of block r's series, padded to the longest
+        t0, s, sizes = zip(*rows)
+        k = _K[: max(sizes)]
+        power = np.exp(k * np.array(t0)[:, None])
+        geometric = np.expm1(k * np.array(s)[:, None]) if max(s) > -math.inf else None
+    sums, below = [], _one_minus_q_pow(h)
+    for kind in kinds:
+        g, coefs = _KINDS[kind]
+        direct = iter(g(t).tolist() if spans else ())
+        series = iter(_series(coefs, below, k.size, power, geometric) if rows else ())
+        parts = [
+            (next(direct)[: il - iu] if il > iu else []) + (next(series)[:size] if size else [])
+            for _, iu, il, _, _, size in segs
+        ]
+        for m, (p, a, iu) in enumerate(ups, len(points)):
+            parts[p] += _upper(kind, a, iu, math.fsum(parts[m]), h)
+        sums.append([math.fsum(p) for p in parts[: len(points)]])
+    return sums
 
 
 _LOG_MAX = math.log(sys.float_info.max) + 1e-12  # ScaledReal.to_float's overflow cut
@@ -277,10 +363,10 @@ def _log_pochhammer(z, q: QBase, n=math.inf, guard: float | None = None):
         if (M and t_head <= 0.0) or (M < n and t_tail >= 0.0):  # zero up to rounding
             return 0, 0, (0, 0.0), [-math.inf]
     kind = "log1mexp" if s > 0 else "softplus"
-    sums = [_lattice_sum(kind, t_tail, h, n - M)]
+    sums = _lattice_sums((kind,), [(t_tail, n - M)], h)[0]
     if not M:
         return 1, 0, (0, 0.0), sums
-    sums.append(_lattice_sum(kind, -t_head, h, M))
+    sums += _lattice_sums((kind,), [(-t_head, M)], h)[0]
     return -1 if s > 0 and M % 2 else 1, M * e + M * (M - 1) // 2, (M, lm), sums
 
 
@@ -326,7 +412,7 @@ def log_qq_factorial(n: int, q) -> float:
     q = as_qbase(q)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _lattice_sum("log1mexp", q.log, -q.log, n)
+    return _lattice_sums(("log1mexp",), [(q.log, n)], -q.log)[0][0]
 
 
 def q_number(x: float, q) -> float:

@@ -3,7 +3,8 @@
 theta_for_mean and theta_limit_for_mean solve mean = mu by safeguarded Newton
 in t = ln theta on a closed-form bracket; d mean / dt is the variance, both
 exact Bernoulli sums. Closing the bracket to adjacent floats gives the best
-binary64 theta by the library's mean, or ConvergenceError.
+binary64 theta by the library's mean, or ConvergenceError. The constant-mean
+sweep runs its solves at one q in lock-step (_thetas_for_mean).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .qcalc import _lattice_sum, as_qbase, q_number
+from .qcalc import _lattice_sums, as_qbase, q_number
 
 __all__ = [
     "BracketError",
@@ -63,25 +64,23 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be positive and finite, got {mu}")
 
 
-def _solve(h: float, n, mu: float, t_hi: float) -> ThetaSolveResult:
-    """theta with mean = sum_{i<n} sigmoid(ln theta - i h) = mu, given mean(e^t_hi) >= mu."""
+def _solve(h: float, n, mu: float, t_hi: float):
+    """Solve mean = sum_{i<n} sigmoid(ln theta - i h) = mu, given mean(e^t_hi) >= mu: a generator
+    that yields each point (ln theta, n) it needs and is sent back its (mean, variance)."""
     moments = {}  # theta -> (mean, variance) at every evaluated theta
-
-    def f(theta: float) -> float:
-        if len(moments) == MAX_ITERATIONS:
-            raise ConvergenceError(f"no root bracket closed in {MAX_ITERATIONS} steps")
-        t = math.log(theta)
-        moments[theta] = _lattice_sum("sigmoid", t, h, n), _lattice_sum("dsigmoid", t, h, n)
-        return moments[theta][0] - mu
-
     # the mean is at most theta (1 - q^n) / (1 - q) with q = e^-h, so it is <= mu at t_lo
     t_lo = math.log(mu) + math.log(-math.expm1(-h)) - math.log(-math.expm1(-n * h))
     lo, hi = math.exp(t_lo), math.exp(t_hi) if t_hi < math.log(_MAX) else _MAX
-    if hi == _MAX and f(hi) < 0.0:
-        raise ConvergenceError(f"theta for mean {mu} overflows binary64")
+    if hi == _MAX:
+        moments[hi] = yield math.log(hi), n
+        if moments[hi][0] - mu < 0.0:
+            raise ConvergenceError(f"theta for mean {mu} overflows binary64")
     x, step, step_old, push = lo, t_hi - t_lo, t_hi - t_lo, 1.0
     while True:
-        fx = f(x)
+        if len(moments) == MAX_ITERATIONS:
+            raise ConvergenceError(f"no root bracket closed in {MAX_ITERATIONS} steps")
+        moments[x] = yield math.log(x), n
+        fx = moments[x][0] - mu
         lo, hi = (x, hi) if fx < 0.0 else (lo, x)
         if fx == 0.0 or math.nextafter(lo, hi) >= hi:
             break
@@ -112,19 +111,42 @@ def _solve(h: float, n, mu: float, t_hi: float) -> ThetaSolveResult:
     return ThetaSolveResult(theta, residual, len(moments))
 
 
-def theta_for_mean(n: int, q, mu: float) -> ThetaSolveResult:
-    """Unique theta with mean of KB(n, theta, q) equal to mu (needs n >= 2 mu)."""
+def _thetas_for_mean(q, mu: float, ns: list) -> list[ThetaSolveResult]:
+    """theta with mean of KB(n, theta, q) = mu for each n of ns (n = inf: of H(theta)), in lock-step.
+
+    Each round, one kernel call takes the (mean, variance) of every solve still running,
+    so each takes the iterates it would take alone. Once all have ended, the first
+    failure in the order of ns is raised, as solving them in turn would raise it.
+    """
     q = as_qbase(q)
     _check_mu(mu)
-    if n < 2 * mu:
-        raise BracketError(f"need n >= 2 mu for a bracketed root, got n={n}, mu={mu}")
     h = -q.log
-    return _solve(h, n, mu, (n - 1) * h)  # the mean is at least n/2 at q^-(n-1)
+    # the mean is at least n/2 at q^-(n-1), and that of H(theta) at least mu at e^(2 mu h + 1)
+    out = [BracketError(f"need n >= 2 mu for a bracketed root, got n={n}, mu={mu}") if n < 2 * mu
+           else _solve(h, n, mu, (n - 1) * h if n < math.inf else 2 * mu * h + 1) for n in ns]
+    live = [(i, solve, None) for i, solve in enumerate(out) if not isinstance(solve, BracketError)]
+    while live:
+        asked = []
+        for i, solve, moments in live:
+            try:
+                asked.append((i, solve, solve.send(moments)))
+            except StopIteration as done:
+                out[i] = done.value
+            except (ArithmeticError, ValueError) as err:
+                out[i] = err
+        sums = _lattice_sums(("sigmoid", "dsigmoid"), [point for *_, point in asked], h)
+        live = [(i, solve, moments) for (i, solve, _), moments in zip(asked, zip(*sums))]
+    for result in out:
+        if isinstance(result, Exception):
+            raise result
+    return out
+
+
+def theta_for_mean(n: int, q, mu: float) -> ThetaSolveResult:
+    """Unique theta with mean of KB(n, theta, q) equal to mu (needs n >= 2 mu)."""
+    return _thetas_for_mean(q, mu, [n])[0]
 
 
 def theta_limit_for_mean(q, mu: float) -> ThetaSolveResult:
     """Limit theta(q) of the constant-mean sequence: solves mean of H(theta) = mu."""
-    q = as_qbase(q)
-    _check_mu(mu)
-    h = -q.log
-    return _solve(h, math.inf, mu, 2 * mu * h + 1)  # the mean is at least mu there
+    return _thetas_for_mean(q, mu, [math.inf])[0]

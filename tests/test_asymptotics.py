@@ -23,7 +23,7 @@ from qbinomial.distributions import (
     dnorm_table,
     kb_moments,
 )
-from qbinomial.qcalc import QBase, ScaledReal, _lattice_sum
+from qbinomial.qcalc import QBase, ScaledReal, _lattice_sums
 
 Q5 = QBase(0.5)
 # betas just below 1/2, where c + beta is within 1e-9 of the integer 1
@@ -217,10 +217,8 @@ class TestSigmaLimit:
         # below that the two dsigmoid lattice sums are returned as they are
         h = -math.log(qv)
         for b in BETA_GRID:
-            lattice = math.fsum([
-                _lattice_sum("dsigmoid", -b * h, h, math.inf),
-                _lattice_sum("dsigmoid", -(1.0 - b) * h, h, math.inf),
-            ])
+            points = [(-b * h, math.inf), (-(1.0 - b) * h, math.inf)]
+            lattice = math.fsum(_lattice_sums(("dsigmoid",), points, h)[0])
             got = sigma_limit(b, QBase(qv))
             if dual:
                 assert abs(got - lattice) <= 1e-15 * lattice
@@ -309,10 +307,10 @@ class TestLimitLaw:
     @pytest.mark.parametrize("qv", [0.5, 0.9, 0.9999])
     def test_no_lattice_sum_from_q_half(self, monkeypatch, qv):
         def refuse(*args):
-            raise AssertionError("called _lattice_sum")
+            raise AssertionError("called _lattice_sums")
 
         for module in (qcalc, distributions, asymptotics):
-            monkeypatch.setattr(module, "_lattice_sum", refuse)
+            monkeypatch.setattr(module, "_lattice_sums", refuse)
         for beta in (0.0, 0.3, 0.5, 0.7):
             law = limit_law(beta, QBase(qv))
             assert law.sigma == math.sqrt(sigma_limit(beta, QBase(qv)))
@@ -391,9 +389,8 @@ class TestLimitLaw:
         # float at q >= 0.998, so ln C is taken from the lattice kernel
         h = -math.log(qv)
         log_c = -math.fsum([
-            _lattice_sum("log1mexp", -h, h, math.inf),
-            _lattice_sum("softplus", -beta * h, h, math.inf),
-            _lattice_sum("softplus", -(1.0 - beta) * h, h, math.inf),
+            *_lattice_sums(("log1mexp",), [(-h, math.inf)], h)[0],
+            *_lattice_sums(("softplus",), [(-beta * h, math.inf), (-(1.0 - beta) * h, math.inf)], h)[0],
         ])
         if beta < 0.5:
             expo = lambda x: 0.5 * (x - 1.0) * (x - 2.0 * beta)

@@ -116,6 +116,21 @@ class TestMomentsCommand:
         assert float(row["mean"]) == pytest.approx(float(mean), rel=4 * 2.0**-52, abs=0.0)
         assert float(row["variance"]) == pytest.approx(float(var), rel=4 * 2.0**-52, abs=0.0)
 
+    @pytest.mark.parametrize("alpha", ["4503599627370495.5", "12345678901.5", "1000000000000000.25"])
+    def test_dnorm_far_from_zero(self, capsys, alpha):
+        # against 40 digits from the weights q^((x - alpha)^2 / 2) at the exact float alpha
+        code, out, _ = run_cli(capsys, "moments", "--dist", "dnorm", "--alpha", alpha, "--q", "0.5")
+        assert code == 0
+        row = csv_rows(out)[0]
+        with mp.workdps(40):
+            a, center = mp.mpf(float(alpha)), round(float(alpha))
+            xs = range(center - 60, center + 61)
+            w = [mp.mpf(0.5) ** ((x - a) ** 2 / 2) for x in xs]
+            mean = mp.fsum(x * p for x, p in zip(xs, w)) / mp.fsum(w)
+            var = mp.fsum((x - mean) ** 2 * p for x, p in zip(xs, w)) / mp.fsum(w)
+        assert abs(mp.mpf(float(row["mean"])) - mean) <= math.ulp(float(mean)) / 2
+        assert float(row["variance"]) == pytest.approx(float(var), rel=1e-15, abs=0.0)
+
     def test_dnorm_symmetric_mean(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--dist", "dnorm", "--alpha", "0", "--q", "0.5"
@@ -261,6 +276,15 @@ class TestConvergeCommand:
         )
         assert code == 2
         assert "constant" in err
+
+    def test_constant_mean_failure_order(self, capsys):
+        # theta(inf) overflows and the row n = 100 < 2 mu is unbracketed: the limit's error wins
+        code, out, err = run_cli(
+            capsys, "converge", "--scenario", "constant-mean", "--q", "0.5",
+            "--mu", "1100", "--n-list", "100",
+        )
+        assert (code, out) == (1, "")
+        assert "overflows binary64" in err
 
     def test_constant_mean_scenario(self, capsys):
         code, out, _ = run_cli(

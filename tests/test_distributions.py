@@ -470,6 +470,12 @@ class TestReferenceLaws:
         t = poisson_table(Poisson(3.0))
         assert t.captured_mass >= 1 - 1e-12
 
+    @pytest.mark.parametrize("lam", [1e-322, 5e-324])
+    def test_poisson_tiny_lambda(self, lam):
+        # lam / (x + 1) underflows to 0.0 on the far entries; the table holds no warning
+        t = poisson_table(Poisson(lam))
+        assert (t.offset, t.probs[0], t.probs[1]) == (0, 1.0, lam)
+
     def test_poisson_zero_is_point_mass(self):
         t = poisson_table(Poisson(0.0))
         assert (t.offset, t.probs.tolist()) == (0, [1.0])

@@ -2,7 +2,9 @@
 
 The reference adds the lattice terms g(a - i h) one by one in decimal
 arithmetic at 40 significant digits, with no series and no blocks, from the
-exact binary64 inputs a and h the kernel receives.
+exact binary64 inputs a and h the kernel receives. The kernel is asked for
+every kind at every n of a case in one batch, and a batch must give each sum
+bit for bit what a call for that sum alone gives.
 """
 
 import math
@@ -11,7 +13,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 import numpy as np
 import pytest
 
-from qbinomial.qcalc import _K, _lattice_sum, _one_minus_q_pow
+from qbinomial.qcalc import _K, _blocks, _lattice_sums, _one_minus_q_pow
 
 QS = (1e-8, 0.05, 0.5, 0.999)
 NS = (1, 2, 100, 10_000, math.inf)
@@ -76,9 +78,12 @@ def cases():
 @pytest.mark.parametrize("a,h,ns", cases())
 def test_lattice_sum_matches_brute_force(a, h, ns):
     misses = []
-    for n, sums in brute_sums(a, h, ns).items():
+    refs = brute_sums(a, h, ns)
+    kinds = tuple(refs[ns[0]])
+    batch = dict(zip(kinds, _lattice_sums(kinds, [(a, n) for n in refs], h)))
+    for j, (n, sums) in enumerate(refs.items()):
         for kind, (ref, slope) in sums.items():
-            got = _lattice_sum(kind, a, h, n)
+            got = batch[kind][j]
             # math.ulp(0.0): sums below the float64 range come back as 0 or subnormal
             cond = 8 * EPS * (1.0 + abs(a))
             tol = Decimal(REL_TOL) * abs(ref) + Decimal(cond) * abs(slope) + Decimal(math.ulp(0.0))
@@ -90,7 +95,41 @@ def test_lattice_sum_matches_brute_force(a, h, ns):
 
 
 def test_empty_lattice():
-    assert _lattice_sum("sigmoid", 3.0, 0.5, 0) == 0.0
+    assert _lattice_sums(("sigmoid",), [(3.0, 0)], 0.5) == [[0.0]]
+
+
+def alone(kind: str, a: float, n, h: float) -> float:
+    return _lattice_sums((kind,), [(a, n)], h)[0][0]
+
+
+BATCH_NS = (0, 1, 100, math.inf)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_batch_is_bit_identical_to_single_points(q):
+    # mixed kinds and n; a from deep in the lower block to far past the upper one,
+    # where the mirrored block is long; softplus adds the upper block's folded sum of t
+    h = -math.log(q)
+    a_values = (-40.0, -1.0, -h, 0.0, 0.3, 1.0, 1.0 + h, 5.0, 40.0 * h + 0.3, 700.0)
+    points = [(a, n) for a in a_values for n in BATCH_NS]
+    kinds = ("sigmoid", "dsigmoid", "softplus")
+    for kind, sums in zip(kinds, _lattice_sums(kinds, points, h)):
+        assert sums == [alone(kind, a, n, h) for a, n in points]
+    below = [(a, n) for a, n in points if a < 0.0]
+    assert _lattice_sums(("log1mexp",), below, h)[0] == [alone("log1mexp", a, n, h) for a, n in below]
+    assert _lattice_sums(kinds, points[::-1], h) == [s[::-1] for s in _lattice_sums(kinds, points, h)]
+
+
+def test_mirrored_block_with_a_direct_term():
+    # a = 156 h + 1 rounds so that the mirrored block starts just above -T, which
+    # leaves it one direct term; batched or alone, the sums keep their bits
+    a, h = 32.678470790345784, 0.20306712045093453
+    iu = _blocks(a, h, math.inf)[0]
+    assert _blocks((iu - 1) * h - a, h, iu)[1] == 1
+    kinds = ("sigmoid", "dsigmoid", "softplus")
+    points = [(a, 10**6), (a, math.inf), (0.3, 100)]
+    assert _lattice_sums(kinds, points, h) == [[alone(kind, *p, h) for p in points] for kind in kinds]
+    test_lattice_sum_matches_brute_force(a, h, (10**6, math.inf))
 
 
 @pytest.mark.parametrize("q", QS)

@@ -113,6 +113,28 @@ class TestThetaForMean:
         assert (a.theta, a.residual, a.iterations) == (b.theta, b.residual, b.iterations)
 
 
+class TestLockstep:
+    """_thetas_for_mean runs a sweep's solves together, one kernel call a round."""
+
+    @pytest.mark.parametrize("qv, mu, ns", [(0.8, 1.984, [50, 100, 150, 200, 250, 300]),
+                                            (0.5, 3.0, [6, 7, 40, 1000, 1500]),
+                                            (0.2, 1.0845, [395, 398, 400])])
+    def test_equals_solo_solves(self, qv, mu, ns):
+        q = QBase(qv)
+        limit, *rows = solvers._thetas_for_mean(q, mu, [math.inf, *ns])
+        assert limit == theta_limit_for_mean(q, mu)  # theta, residual and iterations
+        assert rows == [theta_for_mean(n, q, mu) for n in ns]
+
+    def test_first_failure_in_sequential_order(self):
+        # the limit overflows and the row is unbracketed: solved in turn, the limit raises first
+        with pytest.raises(ConvergenceError, match="overflows"):
+            solvers._thetas_for_mean(Q5, 1100.0, [math.inf, 100])
+        with pytest.raises(BracketError):
+            solvers._thetas_for_mean(Q5, 3.0, [math.inf, 5, 100_000])
+        with pytest.raises(ConvergenceError, match="overflows"):
+            solvers._thetas_for_mean(Q5, 50_000.0, [math.inf, 100_000, 10])
+
+
 class TestThetaLimitForMean:
     def test_finite_solution_converges_to_limit(self):
         lim = theta_limit_for_mean(Q5, 1.0)
