@@ -5,8 +5,9 @@
 Run from the root of a checkout; the library is imported from ./src and the
 request lists from perfbench/workloads.py, which this script only reads. For
 each seed it runs the workload's requests in-process, in the workload's order,
-and prints one line per request: the seed, the exit code, the sha256 of stdout
-and the request's argv. Two checkouts' outputs compare with `diff`.
+and prints one line per request: the seed, the exit code, the sha256 of stdout,
+the sha256 of stderr and the request's argv. Two checkouts' outputs compare
+with `diff`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import workloads  # noqa: E402  (needs the paths above)
 
 
 def digests(seed: int):
-    """(exit code, sha256 of stdout, argv) of each theorem-sweeps request for seed."""
+    """(exit code, sha256 of stdout, sha256 of stderr, argv) of each theorem-sweeps request for seed."""
     for op in workloads.theorem_sweeps(seed):
-        code, out, _ = op.call()
-        yield code, hashlib.sha256(out.encode()).hexdigest(), op.label
+        code, out, err = op.call()
+        yield code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest(), op.label
 
 
 def main(argv: list[str]) -> int:
@@ -33,8 +34,8 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     for seed in map(int, argv):
-        for code, digest, label in digests(seed):
-            print(seed, code, digest, label)
+        for code, out, err, label in digests(seed):
+            print(seed, code, out, err, label)
     return 0
 
 

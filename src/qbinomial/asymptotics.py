@@ -64,7 +64,8 @@ class FractionalDrift:
         object.__setattr__(self, "offset", offset)
 
     def value(self, n: int) -> float:
-        return float(self.slope * n) + self.offset
+        # int / int is correctly rounded, so this is float(slope * n) without Fraction arithmetic
+        return self.slope.numerator * n / self.slope.denominator + self.offset
 
     def beta_fraction(self, n: int) -> Fraction:
         """Exact fractional part of f(n) as a Fraction."""

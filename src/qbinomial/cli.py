@@ -250,7 +250,7 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     # flags taken before and after the subcommand; a flag left out sets nothing,
     # so one given before the subcommand holds, and its readers supply the defaults
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -311,13 +311,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--q-list", help="comma list of q values (q-to-1 scenario)")
     p.add_argument("--threshold", type=float)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv's namespace; a command preceded only by global flags is parsed by its own subparser alone."""
+    i = 0  # the command's index, past global flags and their values
+    while i + 1 < len(argv) and argv[i].partition("=")[0] in ("--format", "--output", "--seed"):
+        if "=" not in argv[i] and argv[i + 1].startswith("-"):
+            break  # argparse reads that value as a flag
+        i += 1 if "=" in argv[i] else 2
+    if i < len(argv) and (sub := _build_parser()[1].get(argv[i])):
+        sub.exit_on_error = False  # a bad flag raises, and the top-level parser parses argv to report it
+        try:
+            args, extra = sub.parse_known_args(argv[:i] + argv[i + 1 :], argparse.Namespace(subcommand=argv[i]))
+            if not extra:  # leftover tokens are for the top-level parser to report
+                return args
+        except argparse.ArgumentError:
+            pass
+        finally:
+            sub.exit_on_error = True
+    return _build_parser()[0].parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Parse, run one subcommand, write its document; returns the exit status."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:

@@ -112,7 +112,9 @@ def _gaps(a: tuple, b: tuple) -> np.ndarray:
 def _tv_rows(a: tuple, b: tuple) -> list[float]:
     """tv_distance of each row pair of two sets of tables (see _gaps)."""
     slack = 0.5 * ((1.0 - a[2]) + (1.0 - b[2]))
-    return [min(1.0, 0.5 * math.fsum(g) + slack) for g in np.abs(_gaps(a, b)).tolist()]
+    # largest first: fsum slows with the range of magnitudes it has met, and a row spans ~300 decades
+    rows = np.sort(np.abs(_gaps(a, b)), axis=1)[:, ::-1]
+    return [min(1.0, 0.5 * math.fsum(g) + slack) for g in rows.tolist()]
 
 
 def tv_distance(a: PMFTable, b: PMFTable) -> float:
@@ -120,8 +122,9 @@ def tv_distance(a: PMFTable, b: PMFTable) -> float:
 
     core is half the l1 gap on the union lattice and u a table's uncaptured mass;
     that mass may sit anywhere, so the true TV lies within (u_a + u_b)/2 of core.
-    math.fsum rounds the sum exactly once, so the 0.0 padding of a set of tables
-    cannot change a distance.
+    math.fsum rounds the sum exactly once, so neither the 0.0 padding of a set of
+    tables nor the order of the terms, which it takes largest first for speed,
+    can change a distance.
     """
     return _tv_rows(_rows(a), _rows(b))[0]
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -55,6 +56,15 @@ class TestFractionalDrift:
         assert d.value(200) == pytest.approx(60.25, rel=1e-15)
         assert d.beta_fraction(200) == Fraction(1, 4)
         assert d.beta_fraction(201) == Fraction(3, 10) + Fraction(1, 4)
+
+    def test_value_is_the_rounded_rational(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            r = rng.choice([2, 3, 7, 10, 97, 1000, 10**6 + 3, 2**61 - 1])
+            slope, offset = Fraction(rng.randrange(1, r), r), rng.uniform(-5.0, 5.0)
+            n = rng.choice([rng.randrange(10**3), rng.randrange(10**15), 10**15 - rng.randrange(100)])
+            got = FractionalDrift(slope, offset).value(n)
+            assert got.hex() == (float(slope * n) + offset).hex()
 
     def test_beta_periodicity(self):
         d = FractionalDrift(Fraction(1, 2), 0.3)

@@ -373,7 +373,7 @@ class TestOutputContracts:
         assert code == 0 and json.loads(out)["meta"]["seed"] == 7
         code, out, _ = run_cli(capsys, *sample)
         assert code == 0 and out.startswith("index,value\n")
-        args = vars(_build_parser().parse_args(sample))
+        args = vars(_build_parser()[0].parse_args(sample))
         assert "seed" not in args and "format" not in args
         assert run_cli(capsys, *sample, "--count", "x")[0] == 2
         code, out, _ = run_cli(capsys, *sample)
@@ -484,6 +484,128 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "solve-theta", "--q", "0.5", "--mu", "inf")
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+
+# usage texts as argparse writes them 80 columns wide (COLUMNS=80 below)
+_USAGE = (
+    "usage: qbinomial [-h] [--format {csv,json}] [--output OUTPUT] [--seed SEED]\n"
+    "                 {pmf,moments,sample,asym,limit,solve-theta,converge} ...\n"
+)
+_MOMENTS_USAGE = (
+    "usage: qbinomial moments [-h] [--format {csv,json}] [--output OUTPUT]\n"
+    "                         [--seed SEED] --dist {kb,heine,dnorm} [--n N]\n"
+    "                         [--theta THETA] [--alpha ALPHA] --q Q\n"
+)
+_DIST_OPTIONS = (
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --format {csv,json}   default: csv\n"
+    "  --output OUTPUT       output file (default: stdout)\n"
+    "  --seed SEED           64-bit RNG seed\n"
+    "  --dist {kb,heine,dnorm}\n"
+    "  --n N\n"
+    "  --theta THETA         float or 'a*q^-b' literal\n"
+    "  --alpha ALPHA\n"
+    "  --q Q\n"
+)
+_HELP = _USAGE + (
+    "\n"
+    "Kemp q-binomial distribution toolkit: pmf tables, moments, sampling, mean\n"
+    "asymptotics, limit laws, and convergence sweeps.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {pmf,moments,sample,asym,limit,solve-theta,converge}\n"
+    "    pmf                 tabulate a pmf\n"
+    "    moments             mean and variance\n"
+    "    sample              seeded draws\n"
+    "    asym                mean expansion vs direct sum\n"
+    "    limit               constant-beta limit law lattice\n"
+    "    solve-theta         invert the mean map\n"
+    "    converge            convergence sweep for one theorem\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --format {csv,json}   default: csv\n"
+    "  --output OUTPUT       output file (default: stdout)\n"
+    "  --seed SEED           64-bit RNG seed\n"
+)
+_PMF_HELP = (
+    "usage: qbinomial pmf [-h] [--format {csv,json}] [--output OUTPUT]\n"
+    "                     [--seed SEED] --dist {kb,heine,dnorm} [--n N]\n"
+    "                     [--theta THETA] [--alpha ALPHA] --q Q\n"
+) + _DIST_OPTIONS
+_CONVERGE_USAGE = (
+    "usage: qbinomial converge [-h] [--format {csv,json}] [--output OUTPUT]\n"
+    "                          [--seed SEED] --scenario\n"
+    "                          {poisson-coupling,constant-mean,subexponential,exponential-reflection,degenerate,q-to-1-binomial}\n"
+    "                          --q Q [--n-list N_LIST] [--lambda LAM] [--mu MU]\n"
+    "                          [--theta THETA] [--slope SLOPE] [--offset OFFSET]\n"
+    "                          [--fn FN] [--n N] [--q-list Q_LIST]\n"
+    "                          [--threshold THRESHOLD]\n"
+)
+_MOMENTS = ["--dist", "kb", "--n", "20", "--theta", "1.3", "--q", "0.6"]
+_SAMPLE = ["--dist", "heine", "--theta", "0.5", "--q", "0.5", "--count", "3"]
+_MOMENTS_JSON = (
+    '{"meta": {"subcommand": "moments", "params": {"dist": "kb", "n": 20, "theta": "1.3", "q": 0.6}, '
+    '"seed": null}, "data": [{"mean": 1.923488406903602, "variance": 1.2278563064227987}]}\n'
+)
+_MOMENTS_CSV = "mean,variance\n1.923488406903602,1.2278563064227987\n"
+
+_USAGE_CASES = {
+    "no-command": ([], 2, "", _USAGE + "qbinomial: error: the following arguments are required: subcommand\n"),
+    "unknown-command": (["nope"], 2, "", _USAGE + "qbinomial: error: argument subcommand: invalid choice: "
+                        "'nope' (choose from 'pmf', 'moments', 'sample', 'asym', 'limit', 'solve-theta', "
+                        "'converge')\n"),
+    "help": (["-h"], 0, _HELP, ""),
+    "long-help": (["--help"], 0, _HELP, ""),
+    "help-after-global-flag": (["--format", "json", "--help"], 0, _HELP, ""),
+    "command-help": (["pmf", "--help"], 0, _PMF_HELP, ""),
+    "abbreviated-command-help": (["moments", "--he"], 0, _MOMENTS_USAGE + _DIST_OPTIONS, ""),
+    "abbreviated-global-flag": (["--form", "json", "moments", *_MOMENTS], 0, _MOMENTS_JSON, ""),
+    "bad-format-before-command": (["--format", "xml", "moments", *_MOMENTS], 2, "", _USAGE
+                                  + "qbinomial: error: argument --format: invalid choice: 'xml' "
+                                  "(choose from 'csv', 'json')\n"),
+    "bad-seed-before-command": (["--seed", "x", "sample", *_SAMPLE], 2, "",
+                                _USAGE + "qbinomial: error: argument --seed: invalid int value: 'x'\n"),
+    "bad-format-after-command": (["moments", *_MOMENTS, "--format", "xml"], 2, "", _MOMENTS_USAGE
+                                 + "qbinomial moments: error: argument --format: invalid choice: 'xml' "
+                                 "(choose from 'csv', 'json')\n"),
+    "leftover-flag": (["moments", *_MOMENTS, "--bogus", "1"], 2, "",
+                      _USAGE + "qbinomial: error: unrecognized arguments: --bogus 1\n"),
+    "leftover-word": (["moments", *_MOMENTS, "extra"], 2, "",
+                      _USAGE + "qbinomial: error: unrecognized arguments: extra\n"),
+    "missing-required": (["moments", "--dist", "kb"], 2, "", _MOMENTS_USAGE
+                         + "qbinomial moments: error: the following arguments are required: --q\n"),
+    "bad-scenario": (["converge", "--scenario", "nope", "--q", "0.5"], 2, "", _CONVERGE_USAGE
+                     + "qbinomial converge: error: argument --scenario: invalid choice: 'nope' (choose from "
+                     "'poisson-coupling', 'constant-mean', 'subexponential', 'exponential-reflection', "
+                     "'degenerate', 'q-to-1-binomial')\n"),
+    "global-flag-lacks-value": (["--format"], 2, "",
+                                _USAGE + "qbinomial: error: argument --format: expected one argument\n"),
+    # --s is ambiguous to converge's own parser (--scenario, --seed, --slope), not to the top-level one
+    "flag-as-global-value": (["--output", "--s", "converge", "--scenario", "degenerate", "--q", "0.5"], 2, "",
+                             _USAGE + "qbinomial: error: argument --output: expected one argument\n"),
+    "negative-seed-before-command": (["--seed", "-5", "sample", *_SAMPLE], 2, "",
+                                     "error: expected non-negative integer\n"),
+    "equals-form": (["--format=json", "moments", *_MOMENTS], 0, _MOMENTS_JSON, ""),
+    "repeated-format-json-last": (["--format", "csv", "moments", *_MOMENTS, "--format", "json"], 0,
+                                  _MOMENTS_JSON, ""),
+    "repeated-format-csv-last": (["--format", "json", "moments", *_MOMENTS, "--format", "csv"], 0,
+                                 _MOMENTS_CSV, ""),
+    "output-named-like-a-command": (["--output", "pmf", "moments", *_MOMENTS], 0, "", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(_USAGE_CASES))
+def test_usage_text_and_exit_code(capsys, monkeypatch, tmp_path, case):
+    # help, usage errors and documents, byte for byte; the top-level parser reports what it always has
+    argv, code, out, err = _USAGE_CASES[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (code, out, err)
+    if case == "output-named-like-a-command":
+        assert (tmp_path / "pmf").read_text() == _MOMENTS_CSV
 
 
 def test_console_entry_point_runs():
