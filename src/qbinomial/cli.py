@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -89,6 +90,14 @@ def _csv_column(values: list) -> tuple[str, list]:
     return "%s", [f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]
 
 
+def _json_column(values: list) -> tuple[str, list]:
+    """(% format, values) of a JSON column: all ints or all finite floats by %r, as json.dumps writes them."""
+    kinds = set(map(type, values))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, values)):
+        return "%r", values
+    return "%s", list(map(json.dumps, values))
+
+
 def _emit(args: argparse.Namespace, columns: dict) -> str:
     """The one serializer: CSV with a header row, or JSON {meta, data} as json.dumps writes it.
 
@@ -99,6 +108,10 @@ def _emit(args: argparse.Namespace, columns: dict) -> str:
     size = max((len(v) for v in values if isinstance(v, list)), default=1)
     cols = [v if isinstance(v, list) else [v] for v in values]
     as_json = getattr(args, "format", "csv") == "json"
+    # a CSV value is a number or pass/fail, so no CSV field needs quoting
+    specs, cols = zip(*map(_json_column if as_json else _csv_column, cols))
+    cols = [c if isinstance(v, list) else [s % c[0]] * size for s, c, v in zip(specs, cols, values)]
+    specs = [s if isinstance(v, list) else "%s" for s, v in zip(specs, values)]
     if as_json:
         skip = {"subcommand", "format", "output", "seed"}
         meta = {
@@ -106,19 +119,9 @@ def _emit(args: argparse.Namespace, columns: dict) -> str:
             "params": {k: v for k, v in vars(args).items() if k not in skip and v is not None},
             "seed": getattr(args, "seed", None),
         }
-        # one json.dumps writes every value; a value, a number or pass/fail, holds no ", "
-        doc = json.dumps({"meta": meta, "data": list(chain.from_iterable(cols))})
-        head, data, fields = doc.rpartition('"data": [')
-        fields = iter(fields[:-2].split(", "))
-        cols = [("%s", list(islice(fields, len(c)))) for c in cols]
-    else:  # every value is a number or pass/fail, so no CSV field needs quoting
-        cols = list(map(_csv_column, cols))
-    specs, cols = zip(*cols)
-    cols = [c if isinstance(v, list) else [s % c[0]] * size for s, c, v in zip(specs, cols, values)]
-    specs = [s if isinstance(v, list) else "%s" for s, v in zip(specs, values)]
-    if as_json:
-        row = "{" + ", ".join(f'"{k}": %s' for k in columns) + "}"
-        return head + data + ", ".join([row] * size) % tuple(chain.from_iterable(zip(*cols))) + "]}\n"
+        head = '{"meta": ' + json.dumps(meta) + ', "data": ['
+        row = "{" + ", ".join(f'"{k}": {s}' for k, s in zip(columns, specs)) + "}"
+        return head + ", ".join([row] * size) % tuple(chain.from_iterable(zip(*cols))) + "]}\n"
     row = "\n" + ",".join(specs)
     return ",".join(columns) + row * size % tuple(chain.from_iterable(zip(*cols))) + "\n"
 
@@ -162,8 +165,9 @@ def _cmd_moments(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
-    if args.count < 0:
-        raise ValueError(f"count must be >= 0, got {args.count}")
+    for name in ("count", "seed"):  # a --seed left out is not set
+        if getattr(args, name, 0) < 0:
+            raise ValueError(f"{name} must be >= 0, got {getattr(args, name)}")
     law = _dist_from_args(args)
     rng = np.random.default_rng(getattr(args, "seed", None))
     draws = sample_by_inversion(tabulate(law), rng, size=args.count)

@@ -1,10 +1,11 @@
 """Parameter couplings: the Poisson-coupling formula and monotone root finding.
 
 theta_for_mean and theta_limit_for_mean solve mean = mu by safeguarded Newton
-in t = ln theta on a closed-form bracket; d mean / dt is the variance, both
-exact Bernoulli sums. Closing the bracket to adjacent floats gives the best
-binary64 theta by the library's mean, or ConvergenceError. The constant-mean
-sweep runs its solves at one q in lock-step (_thetas_for_mean).
+in t = ln theta on a closed-form bracket, from the root of an Euler-Maclaurin
+estimate of the mean; d mean / dt is the variance, both exact Bernoulli sums.
+Closing the bracket to adjacent floats gives the best binary64 theta by the
+library's mean, or ConvergenceError. The constant-mean sweep runs its solves
+at one q in lock-step (_thetas_for_mean).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = [
 
 RESIDUAL_TARGET = 1e-12
 
-# Safety cap on mean evaluations per solve; a solve takes about 7.
+# Safety cap on mean evaluations per solve; a solve takes about 5.
 MAX_ITERATIONS = 1024
 
 # |computed - exact mean at theta| <= eps (mean + variance (1 + |t|)): the sum's
@@ -34,6 +35,7 @@ MAX_ITERATIONS = 1024
 # 2400 random (q, n, theta), q in [1e-8, 0.9999], reach at most 0.66 of it.
 _EPS = 2.0**-52
 _MAX = sys.float_info.max
+_PROBE_SHARE = 0.25
 
 
 class BracketError(ValueError):
@@ -64,6 +66,22 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must be positive and finite, got {mu}")
 
 
+def _estimate_root(h: float, n, mu: float, t_lo: float) -> float:
+    """ln theta where sum_{i<n} sigmoid(t - i h)'s Euler-Maclaurin estimate, its integral plus end
+    corrections, is mu: three Newton steps from t_lo or the n = inf integral's root, the higher."""
+
+    def terms(t):  # softplus, sigmoid and sigmoid' at t, from e^-|t| alone
+        e = math.exp(-abs(t))
+        s = 1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e)
+        return max(t, 0.0) + math.log1p(e), s, s * (1.0 - s)
+
+    t = max(t_lo, mu * h + math.log(-math.expm1(-mu * h)))  # softplus(t) = mu h
+    for _ in range(3):
+        sp, s, ds = (a - b for a, b in zip(terms(t), terms(t - n * h)))  # n = inf: terms(-inf) = 0
+        t -= (sp / h + s / 2.0 + h / 12.0 * ds - mu) / (s / h + ds / 2.0)
+    return t
+
+
 def _solve(h: float, n, mu: float, t_hi: float):
     """Solve mean = sum_{i<n} sigmoid(ln theta - i h) = mu, given mean(e^t_hi) >= mu: a generator
     that yields each point (ln theta, n) it needs and is sent back its (mean, variance)."""
@@ -71,11 +89,17 @@ def _solve(h: float, n, mu: float, t_hi: float):
     # the mean is at most theta (1 - q^n) / (1 - q) with q = e^-h, so it is <= mu at t_lo
     t_lo = math.log(mu) + math.log(-math.expm1(-h)) - math.log(-math.expm1(-n * h))
     lo, hi = math.exp(t_lo), math.exp(t_hi) if t_hi < math.log(_MAX) else _MAX
-    if hi == _MAX:
+    # each term with i h <= ln _MAX is >= 1/2 at _MAX: for mu well below half their count, skip the probe
+    if hi == _MAX and mu > _PROBE_SHARE * min(n, math.floor(math.log(_MAX) / h) + 1):
         moments[hi] = yield math.log(hi), n
         if moments[hi][0] - mu < 0.0:
             raise ConvergenceError(f"theta for mean {mu} overflows binary64")
-    x, step, step_old, push = lo, t_hi - t_lo, t_hi - t_lo, 1.0
+    try:  # Newton starts at the estimate's root, or at lo should that fail or leave the bracket
+        x = math.exp(_estimate_root(h, n, mu, t_lo))
+    except (ArithmeticError, ValueError):
+        x = lo
+    x = x if lo < x < hi else lo
+    step, step_old, push = t_hi - t_lo, t_hi - t_lo, 1.0
     while True:
         if len(moments) == MAX_ITERATIONS:
             raise ConvergenceError(f"no root bracket closed in {MAX_ITERATIONS} steps")
@@ -99,6 +123,8 @@ def _solve(h: float, n, mu: float, t_hi: float):
         step_old, step = step, dt
         if newton and lo < x_new < hi:
             x = x_new
+        elif lo not in moments and math.log(x) + dt <= math.log(lo):  # the root is within rounding of lo
+            x = lo
         else:  # bisect, in t while hi / lo is large
             x = lo + 0.5 * (hi - lo) if hi <= 4.0 * lo else math.sqrt(lo) * math.sqrt(hi)
             step = 0.5 * math.log(hi / lo)
@@ -134,7 +160,7 @@ def _thetas_for_mean(q, mu: float, ns: list) -> list[ThetaSolveResult]:
                 out[i] = done.value
             except (ArithmeticError, ValueError) as err:
                 out[i] = err
-        sums = _lattice_sums(("sigmoid", "dsigmoid"), [point for *_, point in asked], h)
+        sums = _lattice_sums(("sigmoid", "dsigmoid"), [point for *_, point in asked], h) if asked else ()
         live = [(i, solve, moments) for (i, solve, _), moments in zip(asked, zip(*sums))]
     for result in out:
         if isinstance(result, Exception):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import mpmath as mp
 import pytest
 
 import qbinomial
-from qbinomial.cli import _build_parser, main, parse_n_list, parse_theta
+from qbinomial.cli import _build_parser, _emit, main, parse_n_list, parse_theta
 from qbinomial.distributions import Heine, KempBinomial, heine_mean, kb_moments
 from qbinomial.qcalc import QBase, ScaledReal
 
@@ -379,6 +380,17 @@ class TestOutputContracts:
         code, out, _ = run_cli(capsys, *sample)
         assert code == 0 and len(csv_rows(out)) == 3
 
+    @pytest.mark.parametrize("column", [[1, -2, 10**20], [True, False], [0.1, -0.0, 1e300, 5e-324],
+                                        [math.nan, 1.5], [math.inf, -math.inf], ["pass", 'a "b", c'],
+                                        [1, 2.5, True, "x", None], []],
+                                 ids=["int", "bool", "finite", "nan", "inf", "str", "mixed", "empty"])
+    def test_json_writer_is_json_dumps(self, column):
+        args = argparse.Namespace(subcommand="pmf", format="json", q=0.5)
+        constants = {"n": 7, "gap": math.nan, "threshold": 1e-6, "verdict": "pass"}
+        meta = {"subcommand": "pmf", "params": {"q": 0.5}, "seed": None}
+        rows = [{"x": v, **constants} for v in column]
+        assert _emit(args, {"x": column, **constants}) == json.dumps({"meta": meta, "data": rows}) + "\n"
+
     def test_byte_identical_reruns(self, capsys):
         argv = [
             "--format", "json", "--seed", "5", "converge", "--scenario",
@@ -587,7 +599,7 @@ _USAGE_CASES = {
     "flag-as-global-value": (["--output", "--s", "converge", "--scenario", "degenerate", "--q", "0.5"], 2, "",
                              _USAGE + "qbinomial: error: argument --output: expected one argument\n"),
     "negative-seed-before-command": (["--seed", "-5", "sample", *_SAMPLE], 2, "",
-                                     "error: expected non-negative integer\n"),
+                                     "error: seed must be >= 0, got -5\n"),
     "equals-form": (["--format=json", "moments", *_MOMENTS], 0, _MOMENTS_JSON, ""),
     "repeated-format-json-last": (["--format", "csv", "moments", *_MOMENTS, "--format", "json"], 0,
                                   _MOMENTS_JSON, ""),

@@ -18,6 +18,19 @@ from qbinomial.solvers import (
 Q5 = QBase(0.5)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The number of points of each lattice-sum call the solvers make, in order."""
+    kernel, sizes = solvers._lattice_sums, []
+
+    def counted(kinds, points, h):
+        sizes.append(len(points))
+        return kernel(kinds, points, h)
+
+    monkeypatch.setattr(solvers, "_lattice_sums", counted)
+    return sizes
+
+
 def mp_mean(theta: float, q: float, n) -> mp.mpf:
     """sum_{i<n} sigmoid(ln theta - i h), h = -ln q, at 40 digits from the exact floats.
 
@@ -107,6 +120,16 @@ class TestThetaForMean:
         with pytest.raises(ConvergenceError, match="overflows"):
             theta_for_mean(100_000, Q5, 50_000.0)  # theta = 2^49999.5
 
+    @pytest.mark.parametrize("qv, n, mu", [(0.5, 1500, 3.0), (0.2, 1000, 50.0), (0.9, 10**4, 10.0),
+                                           (1e-8, 100, 1.0)])
+    def test_skipped_overflow_probe_leaves_theta(self, monkeypatch, qv, n, mu):
+        # (n - 1) ln(1/q) > ln DBL_MAX, so the bracket reaches DBL_MAX, but mu is far below mean(DBL_MAX)
+        skipped = theta_for_mean(n, qv, mu)
+        monkeypatch.setattr(solvers, "_PROBE_SHARE", 0.0)  # every such bracket evaluates DBL_MAX
+        probed = theta_for_mean(n, qv, mu)
+        assert (probed.theta, probed.residual) == (skipped.theta, skipped.residual)
+        assert probed.iterations == skipped.iterations + 1
+
     def test_determinism(self):
         a = theta_for_mean(37, QBase(0.35), 2.5)
         b = theta_for_mean(37, QBase(0.35), 2.5)
@@ -124,6 +147,13 @@ class TestLockstep:
         limit, *rows = solvers._thetas_for_mean(q, mu, [math.inf, *ns])
         assert limit == theta_limit_for_mean(q, mu)  # theta, residual and iterations
         assert rows == [theta_for_mean(n, q, mu) for n in ns]
+
+    def test_each_round_has_points(self, kernel_calls):
+        results = solvers._thetas_for_mean(Q5, 3.0, [math.inf, 6, 40, 1500])
+        assert min(kernel_calls) > 0 and len(kernel_calls) == max(r.iterations for r in results)
+        with pytest.raises(BracketError):
+            solvers._thetas_for_mean(Q5, 3.0, [5])
+        assert len(kernel_calls) == max(r.iterations for r in results)
 
     def test_first_failure_in_sequential_order(self):
         # the limit overflows and the row is unbracketed: solved in turn, the limit raises first
@@ -211,3 +241,65 @@ def test_solution_verified_against_mpmath_or_raises(qv, n, mu):
     assert sol.iterations <= 100
     assert sol.residual <= RESIDUAL_TARGET
     assert abs(mp_mean(sol.theta, qv, n) - mu) <= RESIDUAL_TARGET
+
+
+# The grid of scripts/solve_counts.py: every n >= 2 mu, n = inf for the Heine limit.
+_GRID_NS = (2, 5, 7, 20, 50, 100, 185, 397, 1000, 1500, 10**4, 10**6, math.inf)
+_GRID_MUS = (1e-9, 1e-4, 0.01, 0.1, 0.5, 0.8333, 1.0, 1.1859, 2.0022, 3.0, 10.0, 50.0, 300.0, 3000.0)
+# Mean evaluations of each grid solve when Newton started at the bracket's lower end, one character
+# per (n, mu) in the order above: a base-36 digit, or where the solve raised ConvergenceError, the
+# letter that many places after "A".
+_LOWER_END_START = {
+    1e-08: "787769d288787agc288787fge9288787fkeje399898kmfbc399898kmfbcB399898kmfbcB3998"
+           "98kmfbcB399898kmfbcBB399898kmfbcBB399898kmfbcBBB399898kmfbcBBB288787ahf9gBBB",
+    0.05: "786668678466979778856666877a4566868797a45668687d7a45668687ca7a45668687ea8b56"
+          "779798fc8b56779798fcB8b56779798fcB8b56779798fcBB8b56779798fcBB7a456686879aBB",
+    0.2: "88675768765666688768576687883776678777737669967777376699677h77376699677k7737"
+         "6699677k884877aa788la884877aa788la884877aa788laB884877aa788laB77376699677haB",
+    0.3: "78766968374577768866565666877676586688776777966987767779669987767779669a8776"
+         "7779669b9887888a77add9887888a77add9887888a77addB9887888a77addB87767779669adB",
+    0.4: "87765767874855677876675768786655757998835768576788357685767888357685767a8835"
+         "7685767c99468796878ek99468796878ek99468796878ekB99468796878ekB883576857678kB",
+    0.5: "87745977867567567877566677783668556677367565567778645575678b78645575678h7864"
+         "5575678h78645575678lb89756686789la89756686789laB89756686789laB78645575678gbB",
+    0.7: "7747577877668656877646755683744858556287556655572844465655777867468557687867"
+         "46855768786746855768b786746855768c897857966879dB897857966879dB7867468557689B",
+    0.8: "8877586887456566787447655786665466566876777455662666455775677767756456677767"
+         "75645667776775645667b776775645667a887886756778dV887886756778dV776775645667aV",
+    0.9: "7767677776767665267665565887674845676778647544657737677658588667477748898663"
+         "47774867866347774867b866347774867b977458885978fN977458885978fN8663477748679L",
+    0.99: "7877676786747886877864956787378776757273788775757777637647687787666356568686"
+          "76775475867666647446676866647487787686767677766K8797878788877O7686767677766K",
+    0.999: "7747687876775556777865556687637776556778687784457686676744767684763788658688"
+           "87677746876776774646586776673777657863676366678I8978787878777I7867676767666H",
+    0.9999: "7837758284748656886766776726637476766868687646658686765447568673777687757687"
+            "76767764787866666787588783767663668776878843667F8867887888637G8867887888637G",
+}
+
+
+def _count(digit: str) -> int:
+    return ord(digit) - ord("A") if digit.isupper() else int(digit, 36)
+
+
+def test_estimate_start_saves_evaluations_on_the_grid(kernel_calls):
+    """Against a start at the bracket's lower end: the same solves raise, none takes more than
+    2 extra evaluations, no q's total grows and the grid's total falls by at least 15%."""
+    now_total = before_total = 0
+    for qv, digits in _LOWER_END_START.items():
+        cases = [(n, mu) for n in _GRID_NS for mu in _GRID_MUS if n >= 2 * mu]
+        assert len(cases) == len(digits)
+        now = 0
+        for (n, mu), digit in zip(cases, digits):
+            start = len(kernel_calls)
+            try:
+                solvers._thetas_for_mean(qv, mu, [n])
+                raised = False
+            except ConvergenceError:
+                raised = True
+            assert raised == digit.isupper(), (qv, n, mu)
+            assert sum(kernel_calls[start:]) <= _count(digit) + 2, (qv, n, mu)
+            now += sum(kernel_calls[start:])
+        before = sum(map(_count, digits))
+        assert now <= before, qv
+        now_total, before_total = now_total + now, before_total + before
+    assert now_total <= 0.85 * before_total
