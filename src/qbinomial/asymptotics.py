@@ -215,11 +215,7 @@ def sigma_limit(beta, q) -> float:
 def dnorm_alpha(beta) -> float:
     """Discrete-normal location parameter matching the constant-beta limit law."""
     b = _beta_float(beta)
-    if b == 0.5:
-        return 0.0
-    if b < 0.5:
-        return 0.5 + b
-    return -0.5 + b
+    return b + (0.5 - (0 if b < 0.5 else 1))  # b + 1/2 - delta, delta as in _checked_floor
 
 
 def _checked_floor(b: float, c: float, q) -> int:

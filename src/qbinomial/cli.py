@@ -354,8 +354,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (ConsistencyError, ArithmeticError, MemoryError) as exc:  # q too near 1 can exhaust memory
+        print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

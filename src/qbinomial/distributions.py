@@ -212,14 +212,16 @@ class PMFTable(_CacheOwner):
         return 0.0
 
 
+_CUT = 760.0  # a table omits only entries, or tail mass, below e^-_CUT: 0.0 in binary64
+
+
 def _half_width(q: QBase) -> int:
-    """K, the least integer with ln(1/q) K(K-1)/2 >= 760, plus 2: 50 at q = 0.5, 1236 at 0.999.
+    """K, the least integer with ln(1/q) K(K-1)/2 >= _CUT, plus 2: 50 at q = 0.5, 1236 at 0.999.
 
     Where ln P(x+1)/P(x) falls by ln(1/q) or more per step, P(mode +- k) is at most
-    e^(-ln(1/q) k(k-1)/2) P(mode), so every entry past mode +- K is below e^-760 of
-    the mode, which is 0.0 in binary64.
+    e^(-ln(1/q) k(k-1)/2) P(mode), so every entry past mode +- K is below e^-_CUT of it.
     """
-    return math.ceil(0.5 + math.sqrt(0.25 + 2.0 * 760.0 / -q.log)) + 2
+    return math.ceil(0.5 + math.sqrt(0.25 + 2.0 * _CUT / -q.log)) + 2
 
 
 def _normalised_table(offset: int, logw: np.ndarray) -> PMFTable:
@@ -438,16 +440,15 @@ def _bernstein_table(mean: float, var: float, last: int | float, log_ratios) -> 
     """Table of a log-concave law on {0, ..., last} from its mean, variance and log ratios.
 
     The window is mean +- d clipped to the support, d = T/3 + sqrt(T^2/9 + 2 T var) with
-    T = 760: Bernstein's bound P(|X - mean| >= d) <= 2 exp(-d^2 / (2 (var + d/3))) holds
+    T = _CUT: Bernstein's bound P(|X - mean| >= d) <= 2 exp(-d^2 / (2 (var + d/3))) holds
     for a sum of independent trials with values in [0, 1] and for its Poisson limit, and
-    is 2 e^-760 at that d, so the omitted tails are 0.0 in binary64. log_ratios(x) is
+    is 2 e^-_CUT at that d, so the omitted tails are 0.0 in binary64. log_ratios(x) is
     ln P(x+1)/P(x) on the window, which decreases, so the mode is the first x where it
     is <= 0. A law with no variance is the point mass at its mean.
     """
     if not var:
         return _normalised_table(round(mean), np.zeros(1))
-    T = 760.0
-    d = T / 3.0 + math.sqrt(T * T / 9.0 + 2.0 * T * var)
+    d = _CUT / 3.0 + math.sqrt(_CUT * _CUT / 9.0 + 2.0 * _CUT * var)
     lo, hi = max(0, math.floor(mean - d)), min(last, math.ceil(mean + d))
     ell = log_ratios(np.arange(lo, hi))
     return _normalised_table(lo, _outward(ell, int(np.count_nonzero(ell > 0.0))))

@@ -1,9 +1,9 @@
 """Numerically robust q-calculus primitives.
 
-q-Pochhammer symbols (finite and infinite), ln (q; q)_n, q-numbers and the
-two q-exponentials, plus a scaled number representation
-(mantissa times an exact integer power of q) so that shape parameters like
-theta = q**(-n - f(n)) stay representable far beyond binary64 range.
+The finite q-Pochhammer symbol, q-numbers and the two q-exponentials, plus a
+scaled number representation (mantissa times an exact integer power of q) so
+that shape parameters like theta = q**(-n - f(n)) stay representable far
+beyond binary64 range.
 
 The base q always lies strictly inside (0, 1); the q -> 0 and q -> 1 regimes
 are probed by evaluating at q = eps or q = 1 - eps, never at the endpoints.
@@ -24,10 +24,8 @@ __all__ = [
     "ScaledReal",
     "E_q",
     "e_q",
-    "log_qq_factorial",
     "q_number",
     "q_pochhammer",
-    "q_pochhammer_inf",
 ]
 
 
@@ -384,13 +382,6 @@ def q_pochhammer(z, q, n: int) -> ScaledReal:
     return ScaledReal.from_log(sign, math.fsum([_fold(*head, 0, -q.log), *sums]), q).q_shift(E)
 
 
-def q_pochhammer_inf(z: float, q) -> float:
-    """Infinite product (z; q)_inf, exp of its log from lattice sums."""
-    q = as_qbase(q)
-    sign, E, head, sums = _log_pochhammer(float(z), q)
-    return sign * math.exp(math.fsum([_fold(*head, E, -q.log), *sums]))
-
-
 def e_q(z: float, q) -> float:
     """Small q-exponential e_q(z) = 1 / (z; q)_inf.
 
@@ -404,15 +395,9 @@ def e_q(z: float, q) -> float:
 
 def E_q(z: float, q) -> float:
     """Large q-exponential E_q(z) = (-z; q)_inf; satisfies e_q(z)E_q(-z) = 1."""
-    return q_pochhammer_inf(-float(z), q)
-
-
-def log_qq_factorial(n: int, q) -> float:
-    """ln (q; q)_n = sum_{i=1}^{n} ln(1 - q^i), a log1mexp lattice sum."""
     q = as_qbase(q)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _lattice_sums(("log1mexp",), [(q.log, n)], -q.log)[0][0]
+    sign, E, head, sums = _log_pochhammer(-float(z), q)
+    return sign * math.exp(math.fsum([_fold(*head, E, -q.log), *sums]))
 
 
 def q_number(x: float, q) -> float:

@@ -139,6 +139,21 @@ class TestMomentsCommand:
         assert code == 0
         assert float(csv_rows(out)[0]["mean"]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB", ""])
+    def test_memory_error_exits_1(self, capsys, monkeypatch, message):
+        # q nearer 1 than 0.9999 can ask for an array of ~2/ln(1/q) terms; the
+        # command is replaced, so nothing is allocated
+        def out_of_memory(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(qbinomial.cli._COMMANDS, "moments", out_of_memory)
+        code, out, err = run_cli(
+            capsys, "moments", "--dist", "kb", "--n", "1000000000", "--theta", "1",
+            "--q", "0.999999999",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"numeric failure: {message or 'MemoryError'}\n"
+
 
 class TestSampleCommand:
     def test_seeded_determinism(self, capsys):

@@ -33,7 +33,7 @@ from qbinomial.distributions import (
     reflect,
     sample_by_inversion,
 )
-from qbinomial.qcalc import QBase, ScaledReal, q_pochhammer_inf
+from qbinomial.qcalc import E_q, QBase, ScaledReal
 
 Q5 = QBase(0.5)
 
@@ -341,7 +341,7 @@ class TestHeine:
         assert t.captured_mass >= 1 - 1e-12
         # paper tail rule: mass complete once q^{x(x-1)/2} theta^x/(q;q)_inf < 1e-16
         # in log form, since the float product underflows to 0 at x = len(t)
-        qq_inf = q_pochhammer_inf(0.5, Q5)
+        qq_inf = E_q(-0.5, Q5)
         x = len(t)
         log_tail = x * (x - 1) / 2 * math.log(0.5) + x * math.log(0.5) - math.log(qq_inf)
         assert log_tail < math.log(1e-16)

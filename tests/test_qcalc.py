@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qbinomial.distributions import KempBinomial, kb_log_pmf, kb_pmf
 from qbinomial.qcalc import (
     E_q,
     PoleError,
@@ -16,10 +17,8 @@ from qbinomial.qcalc import (
     ScaledReal,
     _fold,
     e_q,
-    log_qq_factorial,
     q_number,
     q_pochhammer,
-    q_pochhammer_inf,
 )
 
 
@@ -153,55 +152,52 @@ class TestQPochhammerReference:
 
 
 class TestQPochhammerInf:
+    """(z; q)_inf, read as E_q(-z)."""
+
     def test_zero_argument(self):
-        assert q_pochhammer_inf(0.0, QBase(0.5)) == 1.0
+        assert E_q(-0.0, QBase(0.5)) == 1.0
 
     def test_against_truncated_product_oracle(self):
         q = 0.5
         oracle = product_oracle(0.5, q, 60)
-        assert q_pochhammer_inf(0.5, QBase(q)) == pytest.approx(oracle, rel=1e-13)
-        assert q_pochhammer_inf(0.5, QBase(q)) == pytest.approx(0.2887880951, abs=1e-9)
+        assert E_q(-0.5, QBase(q)) == pytest.approx(oracle, rel=1e-13)
+        assert E_q(-0.5, QBase(q)) == pytest.approx(0.2887880951, abs=1e-9)
 
     def test_negative_argument(self):
         oracle = product_oracle(-1.0, 0.5, 60)
-        assert q_pochhammer_inf(-1.0, QBase(0.5)) == pytest.approx(oracle, rel=1e-13)
-        assert q_pochhammer_inf(-1.0, QBase(0.5)) == pytest.approx(4.768, abs=5e-4)
-
-
-def q_binomial(n: int, k: int, q: QBase) -> float:
-    """Gaussian binomial (q; q)_n / ((q; q)_k (q; q)_{n-k}) from log_qq_factorial; 0 outside 0 <= k <= n."""
-    if not 0 <= k <= n:
-        return 0.0
-    return math.exp(log_qq_factorial(n, q) - log_qq_factorial(k, q) - log_qq_factorial(n - k, q))
+        assert E_q(1.0, QBase(0.5)) == pytest.approx(oracle, rel=1e-13)
+        assert E_q(1.0, QBase(0.5)) == pytest.approx(4.768, abs=5e-4)
 
 
 class TestQBinomial:
-    def test_boundary_coefficients(self):
-        q = QBase(0.3)
-        assert q_binomial(5, 0, q) == 1.0
-        assert q_binomial(5, 5, q) == pytest.approx(1.0, rel=1e-14)
+    """The Gaussian binomial [n choose x]_q, read through KB's pmf
+    P(x) = [n choose x]_q q^(x(x-1)/2) theta^x / (-theta; q)_n."""
 
     def test_gaussian_polynomial_value(self):
-        # [4 choose 2]_q = 1 + q + 2q^2 + q^3 + q^4 at q = 0.5
-        assert q_binomial(4, 2, QBase(0.5)) == pytest.approx(2.1875, rel=1e-13)
+        # [4 choose 2]_q = 1 + q + 2q^2 + q^3 + q^4 = 35/16 at q = 0.5, and (-1; q)_4 = 135/32
+        assert kb_pmf(KempBinomial(4, 1.0, QBase(0.5)), 2) == pytest.approx(7 / 27, rel=1e-14)
 
     def test_symmetry(self):
-        q = QBase(0.3)
-        assert q_binomial(5, 2, q) == pytest.approx(q_binomial(5, 3, q), rel=1e-13)
+        # [n choose x]_q = [n choose n - x]_q makes KB(n, theta, q) at x equal
+        # KB(n, q^(1-n) / theta, q) at n - x; theta = m q^e reflects to (1/m) q^(1-n-e)
+        for qv in (0.3, 0.9):
+            q = QBase(qv)
+            for n in (1, 5, 30, 400):
+                thetas = [ScaledReal.from_float(0.1, q), ScaledReal.from_float(1.0, q),
+                          ScaledReal.from_q_power(-n / 2, q), ScaledReal.from_q_power(-n - 0.3, q)]
+                for theta in thetas:
+                    m, e = theta.mantissa, theta.exponent
+                    d = KempBinomial(n, theta, q)
+                    reflected = KempBinomial(n, ScaledReal.from_float(1 / m, q).q_shift(1 - n - e), q)
+                    for x in range(n + 1):
+                        got, want = kb_log_pmf(reflected, n - x), kb_log_pmf(d, x)
+                        tol = 1e-13 + 8 * sys.float_info.epsilon * abs(want)
+                        assert abs(got - want) <= tol, (qv, n, theta, x)
 
     def test_outside_range_is_zero(self):
-        q = QBase(0.3)
-        assert q_binomial(5, -1, q) == 0.0
-        assert q_binomial(5, 6, q) == 0.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(0, 20), k=st.integers(0, 20), qv=st.floats(0.1, 0.9))
-    def test_pascal_recurrence(self, n, k, qv):
-        # [n+1 k]_q = [n k]_q + q^(n+1-k) [n k-1]_q
-        q = QBase(qv)
-        lhs = q_binomial(n + 1, k, q)
-        rhs = q_binomial(n, k, q) + qv ** (n + 1 - k) * q_binomial(n, k - 1, q)
-        assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-13)
+        d = KempBinomial(5, 1.0, QBase(0.3))
+        assert kb_pmf(d, -1) == 0.0
+        assert kb_pmf(d, 6) == 0.0
 
 
 class TestQNumber:
@@ -251,27 +247,26 @@ def test_fold_rounds_once_like_fraction():
 
 
 def _subnormal_cases(count, seed=20261019):
-    """Seeded (name, z, q) whose e_q / E_q / q_pochhammer_inf value is below 2^-1022.
+    """Seeded (name, z, q) whose e_q / E_q value is below 2^-1022.
 
     z is set by bisection so that the value falls just below a random cut in
-    [e^-744, e^-708.5]; e_q(-z) falls as z grows, (x; q)_inf as x rises to 1.
+    [e^-744, e^-708.5]; e_q(-z) falls as z grows, E_q(-x) = (x; q)_inf as x rises to 1.
     """
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(count):
-        name = ("e_q", "q_pochhammer_inf", "E_q")[i % 3]
+        name = "E_q" if i % 3 else "e_q"
         cut = math.exp(float(rng.uniform(-744.0, -708.5)))
         if name == "e_q":
             q = float(rng.uniform(0.05, 0.95))
             f, lo, hi = (lambda x: e_q(-math.exp(x), q)), -5.0, 300.0
         else:  # (q; q)_inf < e^-708 needs ln(1/q) < pi^2/(6 * 708)
             q = float(rng.uniform(0.998, 0.9995))
-            f, lo, hi = (lambda x: q_pochhammer_inf(x, q)), 0.0, 1.0
+            f, lo, hi = (lambda x: E_q(-x, q)), 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if f(mid) > cut else (lo, mid)
-        z = {"e_q": -math.exp(hi), "q_pochhammer_inf": hi, "E_q": -hi}[name]
-        cases.append((name, z, q))
+        cases.append((name, -math.exp(hi) if name == "e_q" else -hi, q))
     return cases
 
 
@@ -284,11 +279,11 @@ class TestUnderflowRule:
         _subnormal_cases(10) + [("e_q", -8359959477687.698, 0.5321358900704279)],
     )
     def test_subnormal_results(self, name, z, q, oracle):
-        fn = {"e_q": e_q, "E_q": E_q, "q_pochhammer_inf": q_pochhammer_inf}[name]
+        fn = {"e_q": e_q, "E_q": E_q}[name]
         got = fn(z, QBase(q))
         assert 0.0 < got < sys.float_info.min
         # e_q(z) = 1/(z; q)_inf and E_q(z) = (-z; q)_inf
-        sign, arg = {"e_q": (-1, z), "E_q": (1, -z), "q_pochhammer_inf": (1, z)}[name]
+        sign, arg = {"e_q": (-1, z), "E_q": (1, -z)}[name]
         with mp.workdps(oracle.DPS):
             log_ref = sign * oracle.log_pochhammer_inf_ref(arg, q)
             ref = mp.exp(log_ref)
