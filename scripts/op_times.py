@@ -9,7 +9,8 @@ row, keeping its best time. A family's time is the sum of its requests' best
 times. A family is the request's kind; for a CLI request it is the
 subcommand, or for converge the scenario. The script prints one line per
 family, slowest first: its time in ms, its request count and its name, and
-then the whole pass.
+then the whole pass. Last come the p50 and the p90 of the requests' best
+times, estimated as perfbench/run.py estimates lat_p50_ms and lat_p90_ms.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (needs the paths above)
+from run import percentile, tail_percentile  # noqa: E402
 
 REPEATS = 15
 
@@ -51,13 +53,18 @@ def main(argv: list[str]) -> int:
     ops = [op for seed in map(int, argv[1:]) for op in workloads.GENERATORS[argv[0]](seed)]
     for op in ops:
         op.call()
-    times, counts = defaultdict(float), defaultdict(int)
+    times, counts, best = defaultdict(float), defaultdict(int), []
     for op in ops:
-        times[family(op)] += best_time(op)
+        best.append(best_time(op))
+        times[family(op)] += best[-1]
         counts[family(op)] += 1
     for name in sorted(times, key=times.get, reverse=True):
         print(f"{1e3 * times[name]:10.3f} ms {counts[name]:5d} {name}")
     print(f"{1e3 * sum(times.values()):10.3f} ms {len(ops):5d} pass")
+    best.sort()
+    p_tail = tail_percentile(len(best))
+    print(f"{1e3 * percentile(best, 0.5):10.4f} ms p50")
+    print(f"{1e3 * percentile(best, p_tail):10.4f} ms p{100 * p_tail:.0f}")
     return 0
 
 

@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain
 
@@ -216,7 +215,7 @@ def _cmd_solve_theta(args) -> dict:
             raise ValueError("--lambda needs --n")
         return {"theta": [theta_for_poisson(args.n, q, args.lam)], "residual": [0.0], "iterations": [0]}
     sol = theta_limit_for_mean(q, args.mu) if args.n is None else theta_for_mean(args.n, q, args.mu)
-    return {k: [v] for k, v in asdict(sol).items()}
+    return {k: [v] for k, v in vars(sol).items()}
 
 
 def _cmd_converge(args) -> dict:
@@ -318,24 +317,48 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+@functools.cache
+def _flag_table(sub: argparse.ArgumentParser) -> tuple[dict, set, dict]:
+    """A subparser's store flags: each option string's action, the required actions, the defaults in action order."""
+    actions = [a for a in sub._actions if isinstance(a, argparse._StoreAction) and a.nargs is None]
+    options = {s: a for a in actions for s in a.option_strings}
+    defaults = {a.dest: a.default for a in actions if a.default is not argparse.SUPPRESS}
+    return options, {a for a in actions if a.required}, defaults
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """argv's namespace; a command preceded only by global flags is parsed by its own subparser alone."""
+    """argv's namespace, read from the command's flag table where the table covers the request.
+
+    The table takes a command preceded only by global flags and followed only by
+    '--flag value' pairs of its own flags; it converts and checks each value as
+    argparse does. Anything else, and anything at fault, goes to the top-level
+    parser, which parses or reports it as it always has.
+    """
+    parser, commands = _build_parser()
     i = 0  # the command's index, past global flags and their values
-    while i + 1 < len(argv) and argv[i].partition("=")[0] in ("--format", "--output", "--seed"):
-        if "=" not in argv[i] and argv[i + 1].startswith("-"):
-            break  # argparse reads that value as a flag
-        i += 1 if "=" in argv[i] else 2
-    if i < len(argv) and (sub := _build_parser()[1].get(argv[i])):
-        sub.exit_on_error = False  # a bad flag raises, and the top-level parser parses argv to report it
-        try:
-            args, extra = sub.parse_known_args(argv[:i] + argv[i + 1 :], argparse.Namespace(subcommand=argv[i]))
-            if not extra:  # leftover tokens are for the top-level parser to report
+    while i + 1 < len(argv) and argv[i] in ("--format", "--output", "--seed"):
+        i += 2
+    sub = commands.get(argv[i]) if i < len(argv) else None
+    pairs = argv[:i] + argv[i + 1 :]  # '--flag value' pairs if the table covers the request
+    if sub and len(pairs) % 2 == 0:
+        options, required, defaults = _flag_table(sub)
+        args, seen = argparse.Namespace(subcommand=argv[i], **defaults), set()
+        for flag, text in zip(pairs[::2], pairs[1::2]):
+            action = options.get(flag)  # None for -h, '--flag=value', an abbreviated or unknown flag
+            if action is None or text.startswith("-") and not sub._negative_number_matcher.match(text):
+                break  # argparse reads such a value as a flag
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError):
+                break
+            if action.choices is not None and value not in action.choices:
+                break
+            setattr(args, action.dest, value)
+            seen.add(action)
+        else:
+            if required <= seen:
                 return args
-        except argparse.ArgumentError:
-            pass
-        finally:
-            sub.exit_on_error = True
-    return _build_parser()[0].parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -143,11 +143,13 @@ def _lattice_sums(kinds, points, h: float) -> list[list[float]]:
     g's symmetry the block t >= T is a base plus that sum over the mirrored block,
     whose lattice starts at (iu - 1) h - a, which is -T or below up to rounding
     (a term that rounds above -T is summed directly). The cost is O(1/h) per
-    point for any n. The kinds share the lattice points and powers, and many
-    points share one numpy pass (_batch_sums). Each sum's parts do not depend on
-    the batch, and math.fsum rounds them once, so a sum has the same bits alone
-    or batched.
+    point for any n. The kinds share the lattice points and powers, and three or
+    more points share one numpy pass (_batch_sums). Each sum's parts do not
+    depend on the batch, and math.fsum rounds them once, so a sum has the same
+    bits alone or batched.
     """
+    if len(points) == 2:  # two one-point calls cost less than a batch of two
+        return [x + y for x, y in zip(*(_lattice_sums(kinds, [p], h) for p in points))]
     if len(points) != 1:
         return _batch_sums(kinds, points, h)
     (a, n), = points  # in 1-d arrays, which cost less than rows of one

@@ -11,9 +11,10 @@ import mpmath as mp
 import pytest
 
 import qbinomial
-from qbinomial.cli import _build_parser, _emit, main, parse_n_list, parse_theta
+from qbinomial.cli import _build_parser, _emit, _flag_table, _parse, main, parse_n_list, parse_theta
 from qbinomial.distributions import Heine, KempBinomial, heine_mean, kb_moments
 from qbinomial.qcalc import QBase, ScaledReal
+from test_readme import COMMANDS
 
 
 def run_cli(capsys, *argv):
@@ -417,6 +418,13 @@ class TestOutputContracts:
         assert a == b
 
 
+_NEGATIVE_EXPONENT = [
+    (["moments", "--dist", "dnorm", "--alpha", "-4e15", "--q", "0.9"], "--alpha"),
+    (["converge", "--scenario", "subexponential", "--q", "0.5", "--slope", "1/2", "--offset", "-1e-3",
+      "--n-list", "20:60:2"], "--offset"),
+]
+
+
 class TestExitCodes:
     def test_invalid_q(self, capsys):
         code, _, err = run_cli(
@@ -511,6 +519,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "solve-theta", "--q", "0.5", "--mu", "inf")
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, flag", _NEGATIVE_EXPONENT, ids=["alpha", "offset"])
+    def test_negative_exponent_in_equals_form(self, capsys, argv, flag):
+        i = argv.index(flag)
+        code, out, err = run_cli(capsys, *argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2 :])
+        assert code == 0 and err == ""
+        if flag == "--alpha":
+            assert csv_rows(out)[0]["mean"] == "-4000000000000000"
+
+    @pytest.mark.skipif(bool(argparse.ArgumentParser()._negative_number_matcher.match("-4e15")),
+                        reason="this argparse reads -4e15 as a number")
+    @pytest.mark.parametrize("argv, flag", _NEGATIVE_EXPONENT, ids=["alpha", "offset"])
+    def test_negative_exponent_after_a_space(self, capsys, argv, flag):
+        # argparse reads a value such as -4e15 as a flag; the README says to give it as --flag=value
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f": error: argument {flag}: expected one argument\n")
 
 
 # usage texts as argparse writes them 80 columns wide (COLUMNS=80 below)
@@ -621,6 +646,21 @@ _USAGE_CASES = {
     "repeated-format-csv-last": (["--format", "json", "moments", *_MOMENTS, "--format", "csv"], 0,
                                  _MOMENTS_CSV, ""),
     "output-named-like-a-command": (["--output", "pmf", "moments", *_MOMENTS], 0, "", ""),
+    # forms the flag table leaves to argparse
+    "equals-form-after-command": (["moments", *_MOMENTS[:-2], "--q=0.6"], 0, _MOMENTS_CSV, ""),
+    "abbreviated-command-flag": (["moments", *_MOMENTS[:4], "--thet", *_MOMENTS[5:]], 0, _MOMENTS_CSV, ""),
+    "help-after-command-flags": (["moments", *_MOMENTS, "-h"], 0, _MOMENTS_USAGE + _DIST_OPTIONS, ""),
+    "odd-token-count": (["moments", *_MOMENTS, "--n"], 2, "", _MOMENTS_USAGE
+                        + "qbinomial moments: error: argument --n: expected one argument\n"),
+    "unknown-flag-first": (["moments", "--bogus", "1", *_MOMENTS], 2, "",
+                           _USAGE + "qbinomial: error: unrecognized arguments: --bogus 1\n"),
+    "bad-int": (["moments", *_MOMENTS[:3], "x", *_MOMENTS[4:]], 2, "", _MOMENTS_USAGE
+                + "qbinomial moments: error: argument --n: invalid int value: 'x'\n"),
+    "bad-dist": (["moments", "--dist", "foo", *_MOMENTS[2:]], 2, "", _MOMENTS_USAGE
+                 + "qbinomial moments: error: argument --dist: invalid choice: 'foo' "
+                 "(choose from 'kb', 'heine', 'dnorm')\n"),
+    "missing-q": (["moments", *_MOMENTS[:-2]], 2, "", _MOMENTS_USAGE
+                  + "qbinomial moments: error: the following arguments are required: --q\n"),
 }
 
 
@@ -633,6 +673,41 @@ def test_usage_text_and_exit_code(capsys, monkeypatch, tmp_path, case):
     assert run_cli(capsys, *argv) == (code, out, err)
     if case == "output-named-like-a-command":
         assert (tmp_path / "pmf").read_text() == _MOMENTS_CSV
+
+
+_GLOBAL_DESTS = ("format", "output", "seed")
+_GLOBAL_FLAGS = {"csv": ["--format", "csv", "--output", "out.csv"], "json": ["--format", "json", "--seed", "7"]}
+
+
+def _placements(argv: list) -> dict:
+    """argv as the README gives it, and with global flags before, after, and on both sides of it."""
+    out = {"bare": argv}
+    for fmt, flags in _GLOBAL_FLAGS.items():
+        out |= {f"{fmt}-before": [*flags, *argv], f"{fmt}-after": [*argv, *flags]}
+    return out | {"both": [*_GLOBAL_FLAGS["json"], *argv, *_GLOBAL_FLAGS["csv"]]}
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_flag_table_reads_what_argparse_reads(monkeypatch, argv):
+    parser = _build_parser()[0]
+    for name, request in _placements(argv).items():
+        want = parser.parse_args(request)
+        with monkeypatch.context() as m:  # the request must not reach argparse
+            m.setattr(parser, "parse_args", lambda *a, **k: pytest.fail(f"{name}: argparse parsed it"))
+            got = _parse(request)
+        assert got == want, name
+        # the keys _emit writes to JSON's params come in argparse's order
+        params = [[k for k in vars(ns) if k not in _GLOBAL_DESTS] for ns in (got, want)]
+        assert params[0] == params[1], name
+
+
+def test_flag_table_covers_every_flag():
+    # a flag the table leaves out would send every request that gives it to argparse
+    for name, sub in _build_parser()[1].items():
+        options, required, defaults = _flag_table(sub)
+        assert {s for a in sub._actions for s in a.option_strings} - set(options) == {"-h", "--help"}, name
+        assert required == {a for a in sub._actions if a.required}, name
+        assert not any(isinstance(v, str) for v in defaults.values()), name  # argparse would convert it
 
 
 def test_console_entry_point_runs():

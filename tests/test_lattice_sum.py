@@ -13,7 +13,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 import numpy as np
 import pytest
 
-from qbinomial.qcalc import _K, _blocks, _lattice_sums, _one_minus_q_pow
+from qbinomial.qcalc import _K, _batch_sums, _blocks, _lattice_sums, _one_minus_q_pow
 
 QS = (1e-8, 0.05, 0.5, 0.999)
 NS = (1, 2, 100, 10_000, math.inf)
@@ -118,6 +118,10 @@ def test_batch_is_bit_identical_to_single_points(q):
     below = [(a, n) for a, n in points if a < 0.0]
     assert _lattice_sums(("log1mexp",), below, h)[0] == [alone("log1mexp", a, n, h) for a, n in below]
     assert _lattice_sums(kinds, points[::-1], h) == [s[::-1] for s in _lattice_sums(kinds, points, h)]
+    # two points run as two one-point calls, and a batch of two has the same bits
+    pair = [(-1.0, 100), (40.0 * h + 0.3, math.inf)]
+    singles = [[alone(kind, a, n, h) for a, n in pair] for kind in kinds]
+    assert _lattice_sums(kinds, pair, h) == _batch_sums(kinds, pair, h) == singles
 
 
 def test_mirrored_block_with_a_direct_term():
