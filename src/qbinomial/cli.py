@@ -39,16 +39,17 @@ from .solvers import theta_for_mean, theta_for_poisson, theta_limit_for_mean
 
 __all__ = ["main"]
 
+# a*q^-b or a*q^(-b): the conditional (?(2)...) closes a parenthesis only if one was opened
 _THETA_LITERAL = re.compile(
-    r"^\s*([0-9.eE+-]+)\s*\*\s*q\^\(?(-?[0-9.]+)\)?\s*$"
+    r"^\s*([0-9.eE+-]+)\s*\*\s*q\^(\()?(-[0-9.]+)(?(2)\))\s*$"
 )
 
 
 def parse_theta(text: str, q: QBase) -> ScaledReal:
-    """theta as a plain float or an 'a*q^-b' literal (exponential regimes)."""
+    """theta as a plain float or an 'a*q^-b' or 'a*q^(-b)' literal (exponential regimes)."""
     m = _THETA_LITERAL.match(text)
     if m:
-        a, b = float(m.group(1)), float(m.group(2))
+        a, b = float(m.group(1)), float(m.group(3))
         return ScaledReal.from_float(a, q) * ScaledReal.from_q_power(b, q)
     return ScaledReal.from_float(float(text), q)
 

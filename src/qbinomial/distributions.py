@@ -6,7 +6,7 @@ happens in log space with the q-power exponent carried through ScaledReal, so
 the exponential parameter regimes theta ~ q**(-n) evaluate without overflow.
 
 PMFTable is the common currency handed to the metrics engine: a finite lattice
-window, its probabilities, and the mass the window captures.
+window and its probabilities, which hold all of the law's mass.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "PMFTable",
     "Poisson",
     "SupportError",
-    "TableMassError",
     "binomial_table",
     "dnorm_table",
     "heine_mean",
@@ -43,10 +42,6 @@ __all__ = [
     "reflect",
     "sample_by_inversion",
 ]
-
-
-class TableMassError(ValueError):
-    """PMFTable leaks too much mass for the requested operation."""
 
 
 class SupportError(ValueError):
@@ -157,16 +152,17 @@ class MomentPair:
 
 @dataclass(frozen=True, eq=False)
 class PMFTable(_CacheOwner):
-    """Probabilities on the lattice window offset, offset+1, ...
+    """Probabilities on the lattice window offset, offset+1, ..., which sum to 1.
 
-    captured_mass is the window's total probability. The builders here cut every
-    window where the omitted entries are 0.0 in binary64, so their tables capture
-    1.0; a table built elsewhere may leak mass, which tv_distance accounts for.
+    The builders here cut every window where the omitted entries are 0.0 in binary64,
+    so a table holds all of its law's mass.
     """
 
     offset: int
     probs: np.ndarray
-    captured_mass: float
+    # every table holds all its mass; kept as a constant, not a field, because the
+    # benchmark's check_heine_table (perfbench/workloads.py) still reads it
+    captured_mass = 1.0
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
@@ -178,10 +174,8 @@ class PMFTable(_CacheOwner):
             raise ValueError("probs must be a nonempty 1-d array")
         if not p.min() >= 0.0:  # also false for a NaN entry
             raise ValueError("negative or NaN probability entry")
-        if not 0.0 < self.captured_mass <= 1.0 + 1e-12:
-            raise ValueError(f"captured_mass {self.captured_mass!r} outside (0, 1]")
-        if not abs(float(p.sum()) - self.captured_mass) <= 1e-9:  # entries >= 0: sum() is exact enough
-            raise ValueError("captured_mass inconsistent with table entries")
+        if not abs(float(p.sum()) - 1.0) <= 1e-9:  # entries >= 0: sum() is exact enough
+            raise ValueError(f"probability entries sum to {float(p.sum())!r}, not 1")
 
     def __len__(self) -> int:
         return self.probs.size
@@ -227,12 +221,12 @@ def _half_width(q: QBase) -> int:
 def _normalised_table(offset: int, logw: np.ndarray) -> PMFTable:
     """Weights e^logw on offset, offset+1, ..., divided by their sum.
 
-    The window must hold every entry that is not 0.0 in binary64, so it captures 1.0.
+    The window must hold every entry that is not 0.0 in binary64, so no mass is lost.
     """
     probs = np.exp(logw)
     probs /= probs.sum()
     probs.flags.writeable = False  # PMFTable keeps it without a copy
-    return PMFTable(offset, probs, 1.0)
+    return PMFTable(offset, probs)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +475,12 @@ def poisson_table(law: Poisson) -> PMFTable:
 def sample_by_inversion(t: PMFTable, rng: np.random.Generator, size: int | None = None):
     """Invert the cumulative sums of a table; deterministic per seed.
 
-    Requires captured_mass >= 1 - 1e-12 so the inversion error stays inside
-    the table's own truncation budget. A single draw (size=None) bisects a kept
-    tuple of the cumulative sums in pure Python, about 1 us, which the table builds
-    on its first single draw (W floats, about 32 W bytes); a batch calls
-    np.searchsorted. For u in [0, 1) both find the same index, so a draw depends
-    only on its stream position, not on how it is asked for.
+    A single draw (size=None) bisects a kept tuple of the cumulative sums in pure
+    Python, about 1 us, which the table builds on its first single draw (W floats,
+    about 32 W bytes); a batch calls np.searchsorted. For u in [0, 1) both find the
+    same index, so a draw depends only on its stream position, not on how it is
+    asked for.
     """
-    if t.captured_mass < 1.0 - 1e-12:
-        raise TableMassError(
-            f"table captures only {t.captured_mass}; need >= 1 - 1e-12"
-        )
     if size is None:
         i = bisect.bisect_right(t._cdf_floats, rng.random())
         return t.offset + min(i, t.probs.size - 1)
@@ -507,4 +496,4 @@ def reflect(t: PMFTable, n: int) -> PMFTable:
         raise SupportError(
             f"support [{t.offset}, {t.last}] not contained in [0, {n}]"
         )
-    return PMFTable(n - t.last, t.probs[::-1], t.captured_mass)  # kept as a read-only view, not copied
+    return PMFTable(n - t.last, t.probs[::-1])  # kept as a read-only view, not copied

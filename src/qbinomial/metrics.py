@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import FractionalDrift, LimitLaw, limit_law
+from .asymptotics import FractionalDrift, limit_law
 from .distributions import (
     Binomial,
     DiscreteNormal,
@@ -65,9 +65,7 @@ class SweepReport:
 
 
 def tabulate(law) -> PMFTable:
-    """Finite table for any supported law; a PMFTable is passed through."""
-    if isinstance(law, PMFTable):
-        return law
+    """Finite table for any supported law."""
     if isinstance(law, KempBinomial):
         return kb_table(law)
     if isinstance(law, Heine):
@@ -78,14 +76,12 @@ def tabulate(law) -> PMFTable:
         return binomial_table(law)
     if isinstance(law, Poisson):
         return poisson_table(law)
-    if isinstance(law, LimitLaw):
-        return law.lattice_probs
     raise TypeError(f"cannot tabulate {law!r}")
 
 
 def _rows(t: PMFTable) -> tuple:
-    """t as a set of one table: (first x of each row, rows of probs, the mass each row captures)."""
-    return [t.offset], t.probs[None], t.captured_mass
+    """t as a set of one table: (first x of each row, rows of probs)."""
+    return [t.offset], t.probs[None]
 
 
 def _at(first: list, width: int, lo: int, rows: int) -> tuple:
@@ -101,7 +97,7 @@ def _gaps(a: tuple, b: tuple) -> np.ndarray:
     A set of one table pairs with every row of the other. Row r of the result is
     the union-lattice gap of row r's pair, padded with 0.0.
     """
-    (fa, pa, _), (fb, pb, _) = a, b
+    (fa, pa), (fb, pb) = a, b
     lo = min(min(fa), min(fb))
     gap = np.zeros((max(len(fa), len(fb)), max(max(fa) + pa.shape[1], max(fb) + pb.shape[1]) - lo))
     gap[_at(fa, pa.shape[1], lo, len(gap))] = pa
@@ -111,20 +107,17 @@ def _gaps(a: tuple, b: tuple) -> np.ndarray:
 
 def _tv_rows(a: tuple, b: tuple) -> list[float]:
     """tv_distance of each row pair of two sets of tables (see _gaps)."""
-    slack = 0.5 * ((1.0 - a[2]) + (1.0 - b[2]))
     # largest first: fsum slows with the range of magnitudes it has met, and a row spans ~300 decades
     rows = np.sort(np.abs(_gaps(a, b)), axis=1)[:, ::-1]
-    return [min(1.0, 0.5 * math.fsum(g) + slack) for g in rows.tolist()]
+    return [min(1.0, 0.5 * math.fsum(g)) for g in rows.tolist()]
 
 
 def tv_distance(a: PMFTable, b: PMFTable) -> float:
-    """Upper end of the true TV, min(1, core + (u_a + u_b)/2).
+    """Total variation of a and b: half the l1 gap on the union lattice, at most 1.
 
-    core is half the l1 gap on the union lattice and u a table's uncaptured mass;
-    that mass may sit anywhere, so the true TV lies within (u_a + u_b)/2 of core.
-    math.fsum rounds the sum exactly once, so neither the 0.0 padding of a set of
-    tables nor the order of the terms, which it takes largest first for speed,
-    can change a distance.
+    Rounding can put the half sum an ulp above 1, hence the cap. math.fsum rounds
+    the sum exactly once, so neither the 0.0 padding of a set of tables nor the
+    order of the terms, which it takes largest first for speed, can change a distance.
     """
     return _tv_rows(_rows(a), _rows(b))[0]
 
@@ -148,23 +141,22 @@ def _kb_sets(laws: list, q: QBase):
     """
     step = max(1, 2**16 // (2 * _half_width(q) + 1))
     for i in range(0, len(laws), step):
-        first, probs = _logit_rows([_logits(d) for d in laws[i : i + step]], q)
-        yield slice(i, i + step), (first, probs, 1.0)
+        yield slice(i, i + step), _logit_rows([_logits(d) for d in laws[i : i + step]], q)
 
 
 def _reflected(rows: tuple, ns: list) -> tuple:
     """Each row's table of n - X, as reflect gives it; a row's 0.0 padding reflects with it."""
-    first, probs, mass = rows
-    return [n - f - (probs.shape[1] - 1) for n, f in zip(ns, first)], probs[:, ::-1], mass
+    first, probs = rows
+    return [n - f - (probs.shape[1] - 1) for n, f in zip(ns, first)], probs[:, ::-1]
 
 
 def _kb_distances(laws: list, q: QBase, limit: tuple, shifts: list | None = None) -> list[float]:
     """tv_distance(table of X - k for X ~ d, limit) for each law d and its shift k (default 0)."""
     out = []
-    for part, (first, probs, mass) in _kb_sets(laws, q):
+    for part, (first, probs) in _kb_sets(laws, q):
         if shifts is not None:
             first = [f - k for f, k in zip(first, shifts[part])]
-        out += _tv_rows((first, probs, mass), limit)
+        out += _tv_rows((first, probs), limit)
     return out
 
 
@@ -256,10 +248,10 @@ def _sweep_degenerate(q: QBase, params: dict, n_list) -> list:
     fn = params.get("fn", "sqrt")
     f = math.sqrt if fn == "sqrt" else FractionalDrift(Fraction(fn)).value
     laws = [KempBinomial(n, ScaledReal.from_q_power(-(n + f(n)), q), q) for n in n_list]
-    point = _rows(PMFTable(0, np.array([1.0]), 1.0))
+    point = _rows(PMFTable(0, np.array([1.0])))
     distances, p0 = [], []
     for part, rows in _kb_sets(laws, q):
-        first, probs, _ = reflected = _reflected(rows, n_list[part])
+        first, probs = reflected = _reflected(rows, n_list[part])
         distances += _tv_rows(reflected, point)
         p0 += [float(p[-x]) if 0 <= -x < p.size else 0.0 for p, x in zip(probs, first)]
     return [ConvergenceRow(n, dist, {"p0": p}) for n, dist, p in zip(n_list, distances, p0)]

@@ -39,6 +39,7 @@ class TestParsers:
         assert parse_theta("1*q^-60.5", q).log_abs() == pytest.approx(
             60.5 * -q.log, rel=1e-14
         )
+        assert parse_theta("2*q^(-10)", q) == s
 
     def test_n_list(self):
         assert parse_n_list("10,20,30") == [10, 20, 30]
@@ -448,6 +449,14 @@ class TestExitCodes:
             capsys, "pmf", "--dist", "kb", "--n", "2", "--theta", "-1", "--q", "0.5"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("theta", ["2*q^(-3", "2*q^-3)"], ids=["open", "close"])
+    def test_unbalanced_theta_literal(self, capsys, theta):
+        code, out, err = run_cli(
+            capsys, "pmf", "--dist", "kb", "--n", "5", "--theta", theta, "--q", "0.5"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
 
     def test_infinite_heine_theta(self, capsys):
         code, out, err = run_cli(

@@ -32,18 +32,17 @@ Q5 = QBase(0.5)
 
 
 def point_mass(x: int) -> PMFTable:
-    return PMFTable(x, np.array([1.0]), 1.0)
+    return PMFTable(x, np.array([1.0]))
 
 
 class TestTabulate:
     def test_kb_exact_three_entries(self):
         t = tabulate(KempBinomial(2, 1.0, Q5))
         assert len(t) == 3
-        assert t.captured_mass == pytest.approx(1.0, abs=1e-14)
 
     def test_heine_mass(self):
         t = tabulate(Heine(0.5, Q5))
-        assert t.captured_mass >= 1 - 1e-12
+        assert math.fsum(t.probs.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_dnorm_symmetric(self):
         t = tabulate(DiscreteNormal(0.0, Q5))
@@ -51,19 +50,13 @@ class TestTabulate:
 
     def test_reference_laws(self):
         assert tabulate(Binomial(4, 0.25)).prob(0) == pytest.approx(0.31640625)
-        assert tabulate(Poisson(2.0)).captured_mass >= 1 - 1e-12
-
-    def test_passthrough_table(self):
-        t = point_mass(3)
-        assert tabulate(t) is t
 
     @pytest.mark.parametrize("qv", [0.05, 0.5, 0.999])
-    @pytest.mark.parametrize("name", ["kb", "heine", "dnorm", "limit", "poisson", "binomial"])
+    @pytest.mark.parametrize("name", ["kb", "heine", "dnorm", "limit", "poisson", "binomial", "reflect"])
     def test_table_contract(self, name, qv):
-        # every builder cuts where the omitted entries are 0.0 in binary64
-        law, pmf, support = _contract_case(name, QBase(qv))
-        t = tabulate(law)
-        assert t.captured_mass == 1.0
+        # every builder cuts where the omitted entries are 0.0 in binary64, so a table holds all its mass
+        t, pmf, support = _contract_case(name, QBase(qv))
+        assert not t.probs.flags.writeable
         assert abs(math.fsum(t.probs.tolist()) - 1.0) <= 1e-12
         top = t.probs.max()
         for x in (t.offset - 1, t.last + 1):
@@ -91,21 +84,23 @@ def _poisson_point_pmf(lam: float):
 
 
 def _contract_case(name: str, q: QBase):
-    """(law, its point pmf, its support) for the table-contract test."""
-    if name == "kb":
+    """(a table, its law's point pmf, its support) for the table-contract test."""
+    if name in ("kb", "reflect"):
         d = KempBinomial(10_000, ScaledReal.from_q_power(-5000.3, q), q)
-        return d, lambda x: kb_pmf(d, x), (0, d.n)
+        if name == "reflect":
+            return reflect(kb_table(d), d.n), lambda x: kb_pmf(d, d.n - x), (0, d.n)
+        return tabulate(d), lambda x: kb_pmf(d, x), (0, d.n)
     if name == "heine":
         d = Heine(5.0, q)
-        return d, lambda x: kb_pmf(d, x), (0, math.inf)
+        return tabulate(d), lambda x: kb_pmf(d, x), (0, math.inf)
     if name == "dnorm":
-        return DiscreteNormal(0.3, q), _dnorm_point_pmf(0.3, q), (-math.inf, math.inf)
+        return tabulate(DiscreteNormal(0.3, q)), _dnorm_point_pmf(0.3, q), (-math.inf, math.inf)
     if name == "limit":
-        return limit_law(0.3, q), _dnorm_point_pmf(dnorm_alpha(0.3), q), (-math.inf, math.inf)
+        return limit_law(0.3, q).lattice_probs, _dnorm_point_pmf(dnorm_alpha(0.3), q), (-math.inf, math.inf)
     if name == "poisson":
         lam = q.value / (1.0 - q.value)
-        return Poisson(lam), _poisson_point_pmf(lam), (0, math.inf)
-    return Binomial(20, q.value), _binomial_point_pmf(20, q.value), (0, 20)
+        return tabulate(Poisson(lam)), _poisson_point_pmf(lam), (0, math.inf)
+    return tabulate(Binomial(20, q.value)), _binomial_point_pmf(20, q.value), (0, 20)
 
 
 class TestDistances:
@@ -118,7 +113,7 @@ class TestDistances:
 
     def test_tv_stays_within_unit_interval(self):
         # entries may sum to 1 + 1e-12 within PMFTable's consistency tolerance
-        a = PMFTable(0, np.array([0.5, 0.5 + 1e-12]), 1.0)
+        a = PMFTable(0, np.array([0.5, 0.5 + 1e-12]))
         assert tv_distance(a, point_mass(5)) == 1.0
 
     def test_bernoulli_gap(self):
@@ -138,18 +133,6 @@ class TestDistances:
                 assert tv_distance(a, b) == pytest.approx(tv_distance(b, a), rel=1e-14)
         a, b, c = tables
         assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-14
-
-    def test_tv_is_upper_end_under_uncaptured_mass(self):
-        # each table may hold its missing 1e-7 anywhere, so the true TV of two
-        # tables with equal entries can be as large as 1e-7
-        a = PMFTable(0, np.array([0.5, 0.5 - 1e-7]), 1.0 - 1e-7)
-        b = PMFTable(0, np.array([0.5, 0.5 - 1e-7]), 1.0 - 1e-7)
-        assert tv_distance(a, b) == pytest.approx(1e-7, rel=1e-6)
-
-    def test_uncaptured_mass_slack(self):
-        full = point_mass(0)
-        leaky = PMFTable(0, np.array([1.0 - 1e-7]), 1.0 - 1e-7)
-        assert tv_distance(full, leaky) == pytest.approx(1e-7, rel=1e-6)
 
 
 class TestSweeps:
@@ -224,12 +207,6 @@ class TestSweeps:
         dists = [r.distance for r in rep.rows]
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
 
-    def test_limit_law_tabulates(self):
-        from qbinomial.asymptotics import limit_law
-
-        law = limit_law(0.3, Q5)
-        assert tabulate(law) is law.lattice_probs
-
     def test_threshold_override(self):
         rep = convergence_sweep(
             "poisson-coupling",
@@ -291,8 +268,7 @@ def two_array_tv(a: PMFTable, b: PMFTable) -> float:
     pb = np.zeros_like(pa)
     pa[a.offset - lo : a.offset - lo + len(a)] = a.probs
     pb[b.offset - lo : b.offset - lo + len(b)] = b.probs
-    core = 0.5 * math.fsum(np.abs(pa - pb).tolist())
-    return min(1.0, core + 0.5 * ((1.0 - a.captured_mass) + (1.0 - b.captured_mass)))
+    return min(1.0, 0.5 * math.fsum(np.abs(pa - pb).tolist()))
 
 
 class TestSweepReference:
@@ -336,7 +312,7 @@ class TestSweepReference:
             if beta == Fraction(1, 2) and 2 * (drift.slope * n + Fraction(drift.offset)) > n - 1:
                 shift = math.ceil(mu)
             t = kb_table(d)
-            shifted = PMFTable(t.offset - shift, t.probs, t.captured_mass)
+            shifted = PMFTable(t.offset - shift, t.probs)
             limit = limit_law(beta, q).lattice_probs
             ref = two_array_tv(shifted, limit)
             assert tv_distance(shifted, limit) == ref
@@ -349,13 +325,6 @@ class TestSweepReference:
         for row in rep.rows:
             d = KempBinomial(row.n, row.auxiliary["theta"], Q5)
             assert row.auxiliary["mean"] == kb_moments(d).mean
-
-    def test_tv_matches_two_array_form_with_uncaptured_mass(self):
-        leaky = PMFTable(3, np.array([0.25, 0.5, 0.25 - 1e-7]), 1.0 - 1e-7)
-        others = [point_mass(0), point_mass(4), tabulate(Binomial(6, 0.4)), leaky]
-        for a in others:
-            for b in others:
-                assert tv_distance(a, b) == two_array_tv(a, b)
 
 
 def union_gap(a: PMFTable, b: PMFTable) -> np.ndarray:
