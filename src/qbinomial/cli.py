@@ -54,6 +54,17 @@ def parse_theta(text: str, q: QBase) -> ScaledReal:
     return ScaledReal.from_float(float(text), q)
 
 
+def _theta_float(text: str, q: QBase) -> float:
+    """--theta as a float, for the commands whose theta is one: a plain float as float() reads
+    it, or a literal's value at base q, which must be finite and positive."""
+    if not _THETA_LITERAL.match(text):
+        return float(text)
+    theta = parse_theta(text, q).to_float()
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta {text!r} is {theta!r} at q = {q.value!r}, not finite and positive")
+    return theta
+
+
 def parse_n_list(text: str) -> list[int]:
     """Comma list '10,20,30' and/or 'start:stop:step' ranges."""
     out: list[int] = []
@@ -139,7 +150,7 @@ def _dist_from_args(args) -> object:
     if args.dist == "heine":
         if args.theta is None:
             raise ValueError("heine needs --theta")
-        return Heine(float(args.theta), q)
+        return Heine(_theta_float(args.theta, q), q)
     if args.dist == "dnorm":
         if args.alpha is None:
             raise ValueError("dnorm needs --alpha")
@@ -223,7 +234,7 @@ def _cmd_converge(args) -> dict:
     given = {k: getattr(args, k) for k in ("threshold", "lam", "mu", "n")}
     params: dict = {"q": QBase(args.q), **{k: v for k, v in given.items() if v is not None}}
     if args.theta is not None:
-        params["theta"] = float(args.theta)
+        params["theta"] = _theta_float(args.theta, params["q"])
     if args.slope is not None:
         params["slope"] = _rational(args.slope)
         params["offset"] = args.offset
@@ -378,7 +389,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConsistencyError, ArithmeticError, MemoryError) as exc:  # q too near 1 can exhaust memory
+    except (ConsistencyError, ArithmeticError, MemoryError) as exc:
+        # MemoryError: a table's window, about sqrt(1520/ln(1/q)) entries each side, can exhaust memory
         print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0

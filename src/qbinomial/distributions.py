@@ -15,10 +15,11 @@ import bisect
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import neg
 
 import numpy as np
 
-from .qcalc import QBase, ScaledReal, _lattice_sums, as_qbase
+from .qcalc import QBase, ScaledReal, _lattice_parts, _lattice_sums, as_qbase
 
 __all__ = [
     "Binomial",
@@ -260,20 +261,23 @@ def _logit_sums(kinds: tuple, laws: list) -> list[list[float]]:
 def kb_log_pmf(d: KempBinomial | Heine, x: int) -> float:
     """ln P(X = x) for KB(n, theta, q) or H(theta) = KB(inf, theta, q); -inf outside {0, ..., n}.
 
-    ln P = ln [n choose x]_q - sum_{i<x} softplus(-t_i) - sum_{x<=i<n} softplus(t_i), two
-    lattice sums whose terms are small near the mode, so nothing cancels. The q-binomial
-    is ln [n choose x]_q = sum_{n-x<j<=n} ln(1 - q^j) - ln (q; q)_x, whose block of
-    ln(1 - q^j) is empty at n = inf.
+    ln P = ln [n choose x]_q - sum_{i<x} softplus(-t_i) - sum_{x<=i<n} softplus(t_i), with
+    ln [n choose x]_q = ln [n choose m]_q = sum_{n-m<j<=n} ln(1 - q^j) - ln (q; q)_m,
+    m = min(x, n - x), whose block of ln(1 - q^j) is empty at n = inf. Near q = 1 these
+    sums are O(1/ln(1/q)) and nearly cancel, so ln P is their parts rounded once.
     """
     lm, e, n = _logits(d)
     if not 0 <= x <= n:
         return -math.inf
-    h = -d.q.log
+    h, m = -d.q.log, min(x, n - x)
     t = lm - (e + x) * h  # ln(theta q^x), e + x exact
-    block = _lattice_sums(("log1mexp",), [((x - n - 1) * h, x)], h)[0][0] if n < math.inf else 0.0
-    binom = block - _lattice_sums(("log1mexp",), [(-h, x)], h)[0][0]  # - ln (q; q)_x
-    below = _lattice_sums(("softplus",), [(-t - h, x)], h)[0][0]
-    return binom - below - _lattice_sums(("softplus",), [(t, n - x)], h)[0][0]
+    # the parts of -ln P: ln (q; q)_m, the two softplus sums, and minus the block
+    parts = _lattice_parts(("log1mexp",), [(-h, m)], h)[0][0]
+    parts += _lattice_parts(("softplus",), [(-t - h, x)], h)[0][0]
+    parts += _lattice_parts(("softplus",), [(t, n - x)], h)[0][0]
+    if (m - n - 1) * h > -746.0:  # below, every term of the block is e^-746 or less: 0.0 in binary64
+        parts += map(neg, _lattice_parts(("log1mexp",), [((m - n - 1) * h, m)], h)[0][0])
+    return -math.fsum(parts)
 
 
 def kb_pmf(d: KempBinomial | Heine, x: int) -> float:

@@ -81,6 +81,60 @@ _KINDS = {  # kind: (g, (c_k, -c_k))
 }
 
 
+# A direct block longer than _EM_MIN_TERMS keeps its first _EM_HEAD terms, those
+# nearest log1mexp's singularity at t = 0, and closes the rest by Euler-Maclaurin
+# (_euler_maclaurin), its integral by the 12-point Gauss-Legendre rule: g's closed-form
+# antiderivatives (softplus, sigmoid, dilogarithms) would lose a short block's digits
+# to the difference of their values at its ends.
+_EM_MIN_TERMS = 256
+_EM_HEAD = 16
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)  # B_2k/(2k)!
+# d^j sigmoid/dt^j = P_j(s), s = sigmoid(t): P_0 = s, P_(j+1) = P_j'(s) s (1 - s); the
+# coefficients, highest power first. log1mexp(t) = softplus(t + i pi), so its
+# derivatives are those of softplus at s = sigmoid(t + i pi) = 1 + 1/expm1(t).
+_SIGMOID_POLYS = (
+    (1, 0),
+    (-1, 1, 0),
+    (2, -3, 1, 0),
+    (-6, 12, -7, 1, 0),
+    (24, -60, 50, -15, 1, 0),
+    (-120, 360, -390, 180, -31, 1, 0),
+    (720, -2520, 3360, -2100, 602, -63, 1, 0),
+    (-5040, 20160, -31920, 25200, -10206, 1932, -127, 1, 0),
+    (40320, -181440, 332640, -317520, 166824, -46620, 6050, -255, 1, 0),
+    (-362880, 1814400, -3780000, 4233600, -2739240, 1020600, -204630, 18660, -511, 1, 0),
+    (3628800, -19958400, 46569600, -59875200, 46070640, -21538440, 5921520, -874500, 57002, -1023, 1, 0),
+)
+_GAUSS_HALF = (  # the 12-point Gauss-Legendre rule on [-1, 1]: positive nodes, weights
+    (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+     0.7699026741943047, 0.9041172563704749, 0.9815606342467192),
+    (0.24914704581340277, 0.2334925365383548, 0.20316742672306592,
+     0.16007832854334622, 0.10693932599531843, 0.04717533638651183),
+)
+_GAUSS_X = np.array([-x for x in _GAUSS_HALF[0]] + list(_GAUSS_HALF[0]))
+_GAUSS_W = np.array(_GAUSS_HALF[1] * 2)
+
+
+def _sigmoid(t: float) -> float:
+    return 1.0 / (1.0 + math.exp(-t))
+
+
+def _em_kind(integrand, var, first: int, terms: int) -> tuple:
+    """(integrand, s(t), g's polynomial in s or None, ((B_2k/(2k)!, g^(2k-1)'s polynomial) for k <= terms)),
+    for a kind g with g' = P_first(s)."""
+    end = _SIGMOID_POLYS[first - 1] if first else None
+    return integrand, var, end, tuple(zip(_BERNOULLI[:terms], _SIGMOID_POLYS[first::2]))
+
+
+_EM_KINDS = {
+    "sigmoid": _em_kind(_KINDS["sigmoid"][0], _sigmoid, 1, 2),
+    "dsigmoid": _em_kind(_KINDS["dsigmoid"][0], _sigmoid, 2, 2),
+    "softplus": _em_kind(_KINDS["softplus"][0], _sigmoid, 0, 2),
+    # ln(1 - e^t) = ln(-t) + ln(expm1(t)/t): the first is integrated in closed form
+    "log1mexp": _em_kind(lambda t: np.log(np.expm1(t) / t), lambda t: 1.0 + 1.0 / math.expm1(t), 0, 5),
+}
+
+
 @lru_cache(maxsize=64)
 def _one_minus_q_pow(h: float) -> np.ndarray:
     """1 - e^(-k h) for k in _K, read-only; a sweep's rows share one h."""
@@ -111,6 +165,54 @@ def _blocks(a: float, h: float, n) -> tuple:
     return iu, il, t0, s, 1 + math.ceil(_SERIES_DECAY / -t0)
 
 
+def _closure(a: float, iu: int, il: int, h: float):
+    """(top, em) for a direct block iu <= i < il of more than _EM_MIN_TERMS terms: i < top
+    stay direct, and em is the Euler-Maclaurin geometry (hi, lo, count, t, weights) of the
+    rest. Its count = il - top terms run from hi = a - top h down to lo = a - (il - 1) h,
+    t holds the Gauss nodes on [lo, hi] and weights the Gauss weights times (count - 1)/2.
+    """
+    top = iu + _EM_HEAD
+    hi, lo, half = a - top * h, a - (il - 1) * h, 0.5 * (il - 1 - top)
+    return top, (hi, lo, il - top, 0.5 * (hi + lo) + (half * h) * _GAUSS_X, half * _GAUSS_W)
+
+
+def _horner(coefs: tuple, x: float, y: float) -> tuple[float, float]:
+    """(p(x), p(y)) for the polynomial p with coefs, highest power first."""
+    u = v = 0.0
+    for c in coefs:
+        u = u * x + c
+        v = v * y + c
+    return u, v
+
+
+def _euler_maclaurin(kind: str, em: tuple, h: float) -> list:
+    """The parts of sum_(top <= i < il) g(a - i h), g = kind, from _closure's geometry em.
+
+    sum = (1/h) int_lo^hi g + (g(hi) + g(lo))/2 + sum_k B_2k/(2k)! h^(2k-1) (g^(2k-1)(hi)
+    - g^(2k-1)(lo)), where the integral over h is (count - 1)/2 times the Gauss sum. g is
+    analytic in |Im t| < pi, so h < 2/_EM_MIN_TERMS leaves the terms past k = 2 below 1e-18
+    of the sum, except for log1mexp, whose singularity at t = 0 is _EM_HEAD terms from hi,
+    and which takes k <= 5. Its integrand is ln(expm1(t)/t), and ln(-t) is added in closed
+    form: (hi ln(-hi) - lo ln(-lo) - (hi - lo))/h = hi ln(hi/lo)/h + (count - 1) ln(-lo) -
+    (count - 1), whose log1p keeps its digits as hi nears lo and whose last part is exact.
+    The ends' g is a polynomial in s too, or -ln(1 - s) for softplus and log1mexp.
+    """
+    hi, lo, count, t, weights = em
+    integrand, var, end, corrections = _EM_KINDS[kind]
+    parts = (integrand(t) * weights).tolist()
+    s_hi, s_lo = var(hi), var(lo)
+    g_hi, g_lo = _horner(end, s_hi, s_lo) if end else (-math.log1p(-s_hi), -math.log1p(-s_lo))
+    parts += [0.5 * g_hi, 0.5 * g_lo]
+    scale = h
+    for b, poly in corrections:
+        d_hi, d_lo = _horner(poly, s_hi, s_lo)
+        parts.append(b * scale * (d_hi - d_lo))
+        scale *= h * h
+    if kind == "log1mexp":
+        parts += [hi * math.log1p((count - 1) * h / lo) / h, (count - 1) * math.log(-lo), 1.0 - count]
+    return parts
+
+
 def _series(coefs: tuple, below: np.ndarray, size: int, power: np.ndarray, geometric) -> list:
     """The terms c_k e^(k t0) (1 - e^(k s)) / (1 - q^k), k = 1..size, from coefs = (c_k, -c_k),
     below = 1 - q^k, power = e^(k t0) and geometric = e^(k s) - 1, or None if every s is -inf;
@@ -132,28 +234,38 @@ def _upper(kind: str, a: float, iu: int, back: float, h: float) -> list:
     return [back]
 
 
-def _lattice_sums(kinds, points, h: float) -> list[list[float]]:
+def _lattice_parts(kinds, points, h: float) -> list[list[list[float]]]:
+    """_lattice_sums with each sum as its list of parts, unrounded."""
+    return _lattice_sums(kinds, points, h, lambda parts: parts)
+
+
+def _lattice_sums(kinds, points, h: float, finish=math.fsum) -> list[list[float]]:
     """[[sum_{i<n} g(a - i h) for (a, n) in points] for g in kinds], h > 0, n an int >= 0 or inf.
 
     g is sigmoid(t) = 1/(1 + e^-t), dsigmoid = sigmoid (1 - sigmoid),
     softplus(t) = ln(1 + e^t) or log1mexp(t) = ln(1 - e^t) (needs a < 0).
-    With T = _DIRECT_T, the terms with |t| < T are summed directly and the block
-    t <= -T is closed with g's series, each term summed over the block as a
-    geometric series (for sigmoid, Euler's sum_l (-1)^(l-1) x^l / (1 - q^l)); by
-    g's symmetry the block t >= T is a base plus that sum over the mirrored block,
-    whose lattice starts at (iu - 1) h - a, which is -T or below up to rounding
-    (a term that rounds above -T is summed directly). The cost is O(1/h) per
-    point for any n. The kinds share the lattice points and powers, and three or
-    more points share one numpy pass (_batch_sums). Each sum's parts do not
-    depend on the batch, and math.fsum rounds them once, so a sum has the same
-    bits alone or batched.
+    With T = _DIRECT_T, the terms with |t| < T are summed directly, or, past
+    _EM_MIN_TERMS of them, all but the first _EM_HEAD by Euler-Maclaurin
+    (_euler_maclaurin). The block t <= -T is closed with g's series, each term
+    summed over the block as a geometric series (for sigmoid, Euler's
+    sum_l (-1)^(l-1) x^l / (1 - q^l)); by g's symmetry the block t >= T is a base
+    plus that sum over the mirrored block, whose lattice starts at (iu - 1) h - a,
+    which is -T or below up to rounding (a term that rounds above -T is summed
+    directly). The cost is O(1) per point for any n and q. The kinds share the
+    lattice points and powers, and three or more points share one numpy pass
+    (_batch_sums). A sum's parts do not depend on the batch, since each point's
+    path depends on its own block lengths alone, and finish (math.fsum) rounds
+    them once, so a sum has the same bits alone or batched.
     """
     if len(points) == 2:  # two one-point calls cost less than a batch of two
-        return [x + y for x, y in zip(*(_lattice_sums(kinds, [p], h) for p in points))]
+        return [x + y for x, y in zip(*(_lattice_sums(kinds, [p], h, finish) for p in points))]
     if len(points) != 1:
-        return _batch_sums(kinds, points, h)
+        return _batch_sums(kinds, points, h, finish)
     (a, n), = points  # in 1-d arrays, which cost less than rows of one
     iu, il, t0, s, size = _blocks(a, h, n)
+    em = None
+    if il - iu > _EM_MIN_TERMS:  # the direct terms end at il, and em closes the rest
+        il, em = _closure(a, iu, il, h)
     below = _one_minus_q_pow(h)
     if size:
         k = _K[:size]
@@ -170,6 +282,8 @@ def _lattice_sums(kinds, points, h: float) -> list[list[float]]:
     for kind in kinds:
         g, coefs = _KINDS[kind]
         parts = g(t).tolist() if il > iu else []
+        if em:
+            parts += _euler_maclaurin(kind, em, h)
         if size:
             parts += _series(coefs, below, size, power, geometric)
         if iu:
@@ -177,17 +291,22 @@ def _lattice_sums(kinds, points, h: float) -> list[list[float]]:
             if msize:
                 back += _series(coefs, below, msize, mpower, mgeometric)
             parts += _upper(kind, a, iu, math.fsum(back), h)
-        sums.append([math.fsum(parts)])
+        sums.append([finish(parts)])
     return sums
 
 
-def _batch_sums(kinds, points, h: float) -> list[list[float]]:
+def _batch_sums(kinds, points, h: float, finish=math.fsum) -> list[list[float]]:
     """_lattice_sums with each point's direct terms and each block's series as rows of 2-d arrays."""
     segs = [(a, *_blocks(a, h, n)) for a, n in points]  # the points, then their mirrors
     ups = [(p, a, iu) for p, (a, iu, _, _, _, _) in enumerate(segs) if iu]
     for _, a, iu in ups:
         m = (iu - 1) * h - a
         segs.append((m, *_blocks(m, h, iu)))
+    closed = {  # seg: its long direct block's Euler-Maclaurin geometry; its direct terms end at top
+        p: _closure(a, iu, il, h) for p, (a, iu, il, _, _, _) in enumerate(segs) if il - iu > _EM_MIN_TERMS
+    }
+    for p, (top, _) in closed.items():
+        segs[p] = (*segs[p][:2], top, *segs[p][3:])
     spans = [(a, iu, il - iu) for a, iu, il, _, _, _ in segs if il > iu]
     if spans:  # row r holds span r's lattice points, padded to the longest span
         a, iu, size = zip(*spans)
@@ -207,9 +326,11 @@ def _batch_sums(kinds, points, h: float) -> list[list[float]]:
             (next(direct)[: il - iu] if il > iu else []) + (next(series)[:size] if size else [])
             for _, iu, il, _, _, size in segs
         ]
+        for p, (_, em) in closed.items():
+            parts[p] += _euler_maclaurin(kind, em, h)
         for m, (p, a, iu) in enumerate(ups, len(points)):
             parts[p] += _upper(kind, a, iu, math.fsum(parts[m]), h)
-        sums.append([math.fsum(p) for p in parts[: len(points)]])
+        sums.append([finish(p) for p in parts[: len(points)]])
     return sums
 
 

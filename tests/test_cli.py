@@ -141,10 +141,21 @@ class TestMomentsCommand:
         assert code == 0
         assert float(csv_rows(out)[0]["mean"]) == pytest.approx(0.0, abs=1e-12)
 
+    def test_kb_cost_does_not_grow_as_q_nears_1(self, capsys):
+        # the kernel closes each ~2/ln(1/q)-term middle block by Euler-Maclaurin, so
+        # no array of 2e9 terms is built; the moments lie within the support
+        code, out, err = run_cli(
+            capsys, "moments", "--dist", "kb", "--n", "1000000", "--theta", "2",
+            "--q", "0.999999999",
+        )
+        assert (code, err) == (0, "")
+        row = csv_rows(out)[0]
+        assert 0.0 < float(row["mean"]) < 1e6 and float(row["variance"]) > 0.0
+
     @pytest.mark.parametrize("message", ["Unable to allocate 7.45 GiB", ""])
     def test_memory_error_exits_1(self, capsys, monkeypatch, message):
-        # q nearer 1 than 0.9999 can ask for an array of ~2/ln(1/q) terms; the
-        # command is replaced, so nothing is allocated
+        # a table near q = 1 can ask for an array of ~sqrt(1520/ln(1/q)) entries each
+        # side of its mode; the command is replaced, so nothing is allocated
         def out_of_memory(args):
             raise MemoryError(message)
 
@@ -457,6 +468,32 @@ class TestExitCodes:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["pmf", "--dist", "heine"],
+        ["moments", "--dist", "heine"],
+        ["sample", "--dist", "heine", "--count", "5", "--seed", "3"],
+        ["converge", "--scenario", "exponential-reflection", "--n-list", "10:40:10"],
+        ["converge", "--scenario", "q-to-1-binomial", "--n", "10", "--q-list", "0.99,0.999"],
+    ], ids=["pmf", "moments", "sample", "exponential-reflection", "q-to-1-binomial"])
+    def test_every_theta_takes_the_literal(self, capsys, argv):
+        # 2 q^-3 = 16 at q = 0.5, so the literal gives the plain float's document
+        literal = run_cli(capsys, *argv, "--theta", "2*q^(-3)", "--q", "0.5")
+        assert literal == run_cli(capsys, *argv, "--theta", "16", "--q", "0.5")
+        assert literal[0] == 0
+
+    @pytest.mark.parametrize("theta", ["2*q^-5000", "0*q^-3", "--theta=-2*q^-3"])
+    @pytest.mark.parametrize("argv", [
+        ["pmf", "--dist", "heine"],
+        ["converge", "--scenario", "exponential-reflection", "--n-list", "10"],
+        ["converge", "--scenario", "q-to-1-binomial", "--n", "10", "--q-list", "0.99"],
+    ], ids=["heine", "exponential-reflection", "q-to-1-binomial"])
+    def test_theta_literal_not_finite_and_positive(self, capsys, argv, theta):
+        # 2 q^-5000 overflows binary64 at q = 0.5
+        flag = [theta] if theta.startswith("--") else ["--theta", theta]
+        code, out, err = run_cli(capsys, *argv, *flag, "--q", "0.5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: theta") and "not finite and positive" in err
 
     def test_infinite_heine_theta(self, capsys):
         code, out, err = run_cli(

@@ -32,7 +32,7 @@ from qbinomial.distributions import (
     reflect,
     sample_by_inversion,
 )
-from qbinomial.qcalc import E_q, QBase, ScaledReal
+from qbinomial.qcalc import E_q, QBase, ScaledReal, _lattice_parts
 
 Q5 = QBase(0.5)
 
@@ -253,6 +253,26 @@ class TestWindowedTable:
             want = mp.exp(ref[x])
             assert abs(kb_pmf(d, x) / want - 1) < 1e-12, x
             assert abs(t.prob(x) / want - 1) < 1e-12, x
+
+    @pytest.mark.parametrize("n, f", [(2000, 0.8), (3000, 0.3)], ids=["x>n/2", "block-below-e^-746"])
+    def test_binomial_block_forms_against_mpmath(self, n, f):
+        # ln [n choose x]_q is summed as ln [n choose m]_q, m = min(x, n - x): m = n - x near
+        # the mode at n = 2000; at n = 3000, m = x, and every term of its block is below e^-746
+        q = Q5
+        d = KempBinomial(n, ScaledReal.from_q_power(-(f * n + 0.3), q), q)
+        t = kb_table(d)
+        mode = t.offset + int(np.argmax(t.probs))
+        assert (2 * mode > n) == (f > 0.5) and ((n - mode) * -q.log > 746) == (f < 0.5)
+        xs = range(mode - 10, mode + 11, 5)
+        ref = kb_log_pmf_mp(d, xs)
+        for x in xs:
+            assert abs(kb_pmf(d, x) / mp.exp(ref[x]) - 1) < 1e-12, x
+
+    def test_skipped_block_is_zero(self):
+        # kb_log_pmf leaves out a block that starts at t = -746 or below: all its parts are 0.0
+        for h in (1e-4, 0.1, 0.7, 3.0):
+            for x in (1, 2, 100, 10**6):
+                assert not any(_lattice_parts(("log1mexp",), [(-746.0, x)], h)[0][0])
 
     def test_million_trials_window_size_and_pointwise(self):
         d = self.exponential_regime(10**6, Q5)

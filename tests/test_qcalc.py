@@ -4,7 +4,6 @@ import sys
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -246,28 +245,23 @@ def test_fold_rounds_once_like_fraction():
         assert _fold(M, x, E, h) == float(M * Fraction(x) - E * Fraction(h))
 
 
-def _subnormal_cases(count, seed=20261019):
-    """Seeded (name, z, q) whose e_q / E_q value is below 2^-1022.
-
-    z is set by bisection so that the value falls just below a random cut in
-    [e^-744, e^-708.5]; e_q(-z) falls as z grows, E_q(-x) = (x; q)_inf as x rises to 1.
-    """
-    rng = np.random.default_rng(seed)
-    cases = []
-    for i in range(count):
-        name = "E_q" if i % 3 else "e_q"
-        cut = math.exp(float(rng.uniform(-744.0, -708.5)))
-        if name == "e_q":
-            q = float(rng.uniform(0.05, 0.95))
-            f, lo, hi = (lambda x: e_q(-math.exp(x), q)), -5.0, 300.0
-        else:  # (q; q)_inf < e^-708 needs ln(1/q) < pi^2/(6 * 708)
-            q = float(rng.uniform(0.998, 0.9995))
-            f, lo, hi = (lambda x: E_q(-x, q)), 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if f(mid) > cut else (lo, mid)
-        cases.append((name, -math.exp(hi) if name == "e_q" else -hi, q))
-    return cases
+# Seeded (name, z, q) whose e_q / E_q value is below 2^-1022: each z was set by
+# bisection so that the value falls just below a random cut in [e^-744, e^-708.5]
+# (e_q(-z) falls as z grows, E_q(-x) = (x; q)_inf as x rises to 1). They are kept as
+# literals so that a last-bit change in e_q or E_q does not move the cases it tests.
+_SUBNORMAL_CASES = [
+    ("e_q", -3532944029.5321355, 0.7145665383580331),
+    ("E_q", -0.6974377549160392, 0.9988017884021618),
+    ("E_q", -0.3697756680498681, 0.9994365502807271),
+    ("e_q", -3.190366850419321e+17, 0.30766396723408196),
+    ("E_q", -0.7642746476070905, 0.9985958051045454),
+    ("E_q", -0.898433744259463, 0.9982153764986701),
+    ("e_q", -2.584792714748478e+16, 0.3658038528670503),
+    ("E_q", -0.6631800348244883, 0.9988591251083746),
+    ("E_q", -0.7385472219055855, 0.9986529856464316),
+    ("e_q", -7.209863605985693e+17, 0.3066350632641001),
+    ("e_q", -8359959477687.698, 0.5321358900704279),
+]
 
 
 class TestUnderflowRule:
@@ -276,7 +270,7 @@ class TestUnderflowRule:
 
     @pytest.mark.parametrize(
         "name,z,q",
-        _subnormal_cases(10) + [("e_q", -8359959477687.698, 0.5321358900704279)],
+        _SUBNORMAL_CASES,
     )
     def test_subnormal_results(self, name, z, q, oracle):
         fn = {"e_q": e_q, "E_q": E_q}[name]
