@@ -50,7 +50,8 @@ def parse_theta(text: str, q: QBase) -> ScaledReal:
     m = _THETA_LITERAL.match(text)
     if m:
         a, b = float(m.group(1)), float(m.group(3))
-        return ScaledReal.from_float(a, q) * ScaledReal.from_q_power(b, q)
+        e = math.floor(b)  # a q^b = (a q^(b - e)) q^e, and q < q^(b - e) <= 1 keeps a's range
+        return ScaledReal.from_float(a * q.pow(b - e), q).q_shift(e)
     return ScaledReal.from_float(float(text), q)
 
 

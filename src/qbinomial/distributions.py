@@ -2,8 +2,9 @@
 
 Covers the Kemp q-binomial law KB(n, theta, q), its Heine and discrete-normal
 limit laws, and the classical binomial/Poisson reference laws. All pmf work
-happens in log space with the q-power exponent carried through ScaledReal, so
-the exponential parameter regimes theta ~ q**(-n) evaluate without overflow.
+happens in log space from theta = m q^e read as (ln m, e), with the integer e
+carried exactly through ScaledReal, so the exponential parameter regimes
+theta ~ q**(-n) evaluate without overflow.
 
 PMFTable is the common currency handed to the metrics engine: a finite lattice
 window and its probabilities, which hold all of the law's mass.
@@ -13,13 +14,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
 
 import numpy as np
 
-from .qcalc import QBase, ScaledReal, _lattice_parts, _lattice_sums, as_qbase
+from .qcalc import QBase, ScaledReal, _CacheOwner, _lattice_parts, _lattice_sums, as_qbase
 
 __all__ = [
     "Binomial",
@@ -53,22 +54,12 @@ class SupportError(ValueError):
 # parameter records
 
 
-class _CacheOwner:
-    """A dataclass whose pickles and copies are rebuilt from its fields by the constructor.
-
-    So they are validated again and start without the cached_property values of the
-    original: a cache lives exactly as long as its object.
-    """
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
 @dataclass(frozen=True)
 class KempBinomial(_CacheOwner):
     """KB(n, theta, q): trial count n >= 0, shape theta >= 0, base q in (0,1).
 
-    theta may be given as a plain float or a ScaledReal; it is stored scaled.
+    theta may be given as a plain float, stored as ScaledReal.from_float(theta)
+    without a rounding, or as a ScaledReal m q^e, kept as given.
     theta = 0 is admitted as the point mass at 0.
     """
 

@@ -12,8 +12,7 @@ are probed by evaluating at q = eps or q = 1 - eps, never at the endpoints.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,8 +32,19 @@ class PoleError(ValueError):
     """Argument of e_q sits within 1e-12 of a pole q**(-i)."""
 
 
+class _CacheOwner:
+    """A dataclass whose pickles and copies are rebuilt from its fields by the constructor.
+
+    So they are validated again and start without the cached_property values of the
+    original: a cache lives exactly as long as its object.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class QBase:
+class QBase(_CacheOwner):
     """Base of the q-deformation, restricted to the open interval (0, 1)."""
 
     value: float
@@ -334,16 +344,14 @@ def _batch_sums(kinds, points, h: float, finish=math.fsum) -> list[list[float]]:
     return sums
 
 
-_LOG_MAX = math.log(sys.float_info.max) + 1e-12  # ScaledReal.to_float's overflow cut
-
-
 @dataclass(frozen=True)
 class ScaledReal:
-    """sign * mantissa * q**exponent with mantissa normalized into [1, 1/q).
+    """sign * mantissa * q**exponent: sign +-1, a finite mantissa >= 0 and an exact integer exponent.
 
-    The integer exponent absorbs the whole dynamic range, so products like
-    theta * q**(-n) never overflow. Zero is canonically (sign=1, mantissa=0,
-    exponent=0). Mixed-base arithmetic is rejected.
+    The exponent carries the dynamic range, so values like theta * q**(-n) never
+    overflow. The pair is kept as given, not normalised: from_float(x) is
+    (sign x, |x|, 0), so a float is stored without rounding. Zero is canonically
+    (sign=1, mantissa=0, exponent=0).
     """
 
     sign: int
@@ -354,52 +362,18 @@ class ScaledReal:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _make(cls, sign: int, m: float, e: int, q: QBase) -> "ScaledReal":
-        if m == 0.0:
-            return cls(1, 0.0, 0, q)
-        if not math.isfinite(m):
-            raise ValueError(f"non-finite mantissa {m!r}")
-        if m < 0.0:
-            sign, m = -sign, -m
-        qv, lq = q.value, q.log
-        inv = 1.0 / qv
-        if not 1.0 <= m < inv:
-            shift = math.ceil(math.log(m) / lq)  # bring m*q**-shift into [1, 1/q)
-            if shift:
-                if abs(shift * lq) < 600.0:
-                    m *= qv**-shift
-                else:
-                    # two in-range pow steps; exp(log m - shift*lq) would cost ~1e-13
-                    half = shift // 2
-                    m = (m * qv**-half) * qv ** -(shift - half)
-                e += shift
-        while m >= inv:
-            m *= qv
-            e -= 1
-        while m < 1.0:
-            m *= inv
-            e += 1
-        return cls(sign, m, e, q)
-
-    @classmethod
     def from_float(cls, x: float, q) -> "ScaledReal":
-        return cls._make(1, float(x), 0, as_qbase(q))
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite value {x!r}")
+        return cls(-1 if x < 0.0 else 1, abs(x), 0, as_qbase(q))
 
     @classmethod
     def from_q_power(cls, p: float, q) -> "ScaledReal":
         """The value q**p for real p, exactly scaled (exponent = ceil(p))."""
         q = as_qbase(q)
         e = math.ceil(p)
-        return cls._make(1, q.pow(p - e), e, q)
-
-    @classmethod
-    def from_log(cls, sign: int, log_value: float, q) -> "ScaledReal":
-        """sign * exp(log_value), renormalized; log_value = -inf gives zero."""
-        q = as_qbase(q)
-        if log_value == -math.inf:
-            return cls(1, 0.0, 0, q)
-        e = math.ceil(log_value / q.log)
-        return cls._make(sign, math.exp(log_value - e * q.log), e, q)
+        return cls(1, q.pow(p - e), e, q)
 
     # -- queries -----------------------------------------------------------
 
@@ -414,19 +388,25 @@ class ScaledReal:
         return math.log(self.mantissa) + self.exponent * self.q.log
 
     def to_float(self) -> float:
-        """Nearest binary64 value; +-inf above DBL_MAX, 0 on underflow.
+        """The nearest binary64 value, to within a few ulps; +-inf past DBL_MAX.
 
-        The top two floats below DBL_MAX can still round to +-inf.
+        The mantissa's frexp fraction is multiplied by q**exponent in factors of at most
+        e^700, each product taken back into [0.5, 1) by frexp, so no step leaves the
+        normal range whatever the mantissa is, and ldexp rounds the result once.
         """
-        if self.is_zero:
+        t = self.log_abs()  # its rounding is far below the cuts' slack
+        if t < -746.0:  # below 2^-1076, so 0.0, and zero's t is -inf
             return 0.0
-        t = self.log_abs()
-        if t < -745.0:
-            return 0.0
-        if t <= _LOG_MAX:  # the slack covers log_abs's rounding
+        if t < 710.0:
+            x, j = math.frexp(self.mantissa)
+            e, step = self.exponent, max(1, int(700.0 / -self.q.log))
+            while e:
+                k = max(-step, min(step, e))
+                x, i = math.frexp(x * self.q.value**k)
+                j, e = j + i, e - k
             try:
-                return self.sign * self.mantissa * self.q.value ** self.exponent
-            except OverflowError:  # q**exponent alone is past DBL_MAX
+                return self.sign * math.ldexp(x, j)
+            except OverflowError:  # past DBL_MAX once rounded
                 pass
         return math.inf if self.sign > 0 else -math.inf
 
@@ -437,22 +417,6 @@ class ScaledReal:
         if self.is_zero:
             return self
         return ScaledReal(self.sign, self.mantissa, self.exponent + k, self.q)
-
-    def __mul__(self, other) -> "ScaledReal":
-        if not isinstance(other, ScaledReal):
-            other = ScaledReal.from_float(float(other), self.q)
-        elif other.q.value != self.q.value:
-            raise ValueError("mixed q bases in ScaledReal arithmetic")
-        if self.is_zero or other.is_zero:
-            return ScaledReal(1, 0.0, 0, self.q)
-        return self._make(
-            self.sign * other.sign,
-            self.mantissa * other.mantissa,
-            self.exponent + other.exponent,
-            self.q,
-        )
-
-    __rmul__ = __mul__
 
 
 def _log_pochhammer(z, q: QBase, n=math.inf, guard: float | None = None):
@@ -502,7 +466,11 @@ def q_pochhammer(z, q, n: int) -> ScaledReal:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     sign, E, head, sums = _log_pochhammer(z, q, n)
-    return ScaledReal.from_log(sign, math.fsum([_fold(*head, 0, -q.log), *sums]), q).q_shift(E)
+    if not sign:
+        return ScaledReal(1, 0.0, 0, q)
+    log_abs = math.fsum([_fold(*head, 0, -q.log), *sums])
+    e = math.ceil(log_abs / q.log)  # the mantissa e^(log_abs - e ln q) lies in [1, 1/q)
+    return ScaledReal(sign, math.exp(log_abs - e * q.log), e + E, q)
 
 
 def e_q(z: float, q) -> float:

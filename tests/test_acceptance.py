@@ -89,7 +89,7 @@ def test_criterion_1c_reflection_identity():
         z = ScaledReal.from_float(zv, q)
         lz = z.log_abs()
         for n in range(1, 31):
-            lhs = q_pochhammer(-1.0 * z, q, n)
+            lhs = q_pochhammer(ScaledReal(-1, z.mantissa, z.exponent, q), q, n)
             terms = [math.log1p(math.exp(-i * q.log - lz)) for i in range(n)]
             rhs = math.fsum([n * (n - 1) // 2 * q.log, n * lz, *terms])
             assert lhs.sign == 1

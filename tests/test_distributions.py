@@ -317,6 +317,16 @@ class TestHeine:
         total = math.fsum(kb_pmf(d, x) for x in range(61))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.9, 0.99])
+    def test_is_kb_at_a_million_trials_bit_for_bit(self, qv):
+        # q^(1e6) is 0.0 in binary64 at every qv here, so H(theta) and KB(1e6, theta, q),
+        # which keeps a float theta as given, are the same law to the last bit
+        q = QBase(qv)
+        for theta in (0.05, 0.37, 0.8, 1.7, 3.0, 12.5, 1e3):
+            kb, heine = KempBinomial(10**6, theta, q), Heine(theta, q)
+            assert kb_moments(kb) == kb_moments(heine), theta
+            assert [kb_pmf(kb, x) for x in range(5)] == [kb_pmf(heine, x) for x in range(5)], theta
+
     def test_poisson_limit(self):
         q = QBase(0.999)
         d = Heine((1 - 0.999) * 1.0, q)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -39,6 +40,11 @@ class TestQBase:
         q = QBase(0.5)
         assert q.log == math.log(0.5)
 
+    def test_pickles_by_value(self):
+        q = QBase(0.5)
+        before = pickle.dumps(q)
+        assert q.log and pickle.dumps(q) == before == pickle.dumps(QBase(0.5))
+
 
 class TestQPochhammer:
     def test_empty_product(self):
@@ -54,16 +60,26 @@ class TestQPochhammer:
         assert q_pochhammer(-1.0, QBase(0.5), 3).to_float() == pytest.approx(3.75, rel=1e-14)
 
     @settings(max_examples=60, deadline=None)
+    @example(z=5.0, qv=0.9460236757631252, n=28)  # the factor is -0.059, near its zero
     @given(
         z=st.floats(-5, 5),
         qv=st.floats(0.05, 0.95),
         n=st.integers(0, 30),
     )
     def test_incremental_factor_property(self, z, qv, n):
+        # (z; q)_(n+1) = (z; q)_n (1 - z q^n), each side's ln within pochhammer_tol: the
+        # factor is exact (mpmath), since near its zero its rounding would be amplified
         q = QBase(qv)
-        a = q_pochhammer(z, q, n + 1).to_float()
-        b = q_pochhammer(z, q, n).to_float() * (1.0 - z * qv**n)
-        assert a == pytest.approx(b, rel=1e-14, abs=1e-300)
+        a = q_pochhammer(z, q, n + 1)
+        b = q_pochhammer(z, q, n)
+        with mp.workdps(50):
+            factor = 1 - mp.mpf(z) * mp.mpf(qv) ** n
+            if a.is_zero or b.is_zero:  # a factor that is zero up to the rounding of its logit
+                assert a.is_zero and (b.is_zero or abs(factor) < 1e-13)
+                return
+            assert a.sign == b.sign * mp.sign(factor)
+            gap = mp.mpf(a.log_abs()) - mp.mpf(b.log_abs()) - mp.log(abs(factor))
+        assert abs(gap) <= pochhammer_tol(qv, n) + pochhammer_tol(qv, n + 1)
 
     def test_scaled_argument_matches_float_argument(self):
         q = QBase(0.5)
@@ -134,20 +150,29 @@ def _scaled_cases(seed=20082):
     return cases
 
 
+_CROSSING = (1.0100526470797924, 0.999, 100)  # factor i = 10 is about 5e-6
+
+
 class TestQPochhammerReference:
-    # factor i = 10 is about 5e-6: rounding z into a ScaledReal first costs 5.3e-11 in ln
     @pytest.mark.parametrize(
         "z,qv,n",
-        [pytest.param(1.0100526470797924, 0.999, 100, id="crossing"), *_float_cases(40)],
+        [pytest.param(*_CROSSING, id="crossing"), *_float_cases(40)],
     )
     def test_float_argument(self, z, qv, n):
         check_against_mpmath(z, qv, n)
+
+    def test_crossing_as_scaled_argument(self):
+        # from_float keeps z as given, so this is the float case's product, which meets the
+        # mpmath check above; a z rounded into [1, 1/q) q^e would cost 4.4e-11 in ln
+        z, qv, n = _CROSSING
+        q = QBase(qv)
+        assert q_pochhammer(ScaledReal.from_float(z, q), q, n) == q_pochhammer(z, q, n)
 
     # z = +-m q^e with e in {-n/2, -n, -2n}: the factors reach q^-2n, past binary64
     @pytest.mark.parametrize("sign,m,e,qv,n", _scaled_cases())
     def test_scaled_argument(self, sign, m, e, qv, n):
         q = QBase(qv)
-        check_against_mpmath(ScaledReal._make(sign, m, e, q), qv, n)
+        check_against_mpmath(ScaledReal(sign, m, e, q), qv, n)
 
 
 class TestQPochhammerInf:
@@ -299,7 +324,7 @@ class TestReflectionIdentity:
         # prod (1 + z q^i) = q^(n(n-1)/2) z^n prod (1 + (z q^i)^-1)
         q = QBase(0.5)
         z = ScaledReal.from_float(zv, q)
-        lhs = q_pochhammer(-1.0 * z, q, n)
+        lhs = q_pochhammer(ScaledReal(-1, z.mantissa, z.exponent, q), q, n)
         assert lhs.sign == 1
         assert abs(lhs.log_abs() - reflection_log(z, q, n)) < 1e-12
 
@@ -307,7 +332,7 @@ class TestReflectionIdentity:
         q = QBase(0.5)
         z = ScaledReal.from_float(1.0, q).q_shift(-40)  # q^-40, overflow-prone
         n = 25
-        lhs = q_pochhammer(-1.0 * z, q, n)
+        lhs = q_pochhammer(ScaledReal(-1, z.mantissa, z.exponent, q), q, n)
         assert lhs.sign == 1
         assert abs(lhs.log_abs() - reflection_log(z, q, n)) < 1e-12
 
@@ -340,11 +365,9 @@ class TestScaledReal:
     def test_round_trip(self, x, qv, sign):
         q = QBase(qv)
         s = ScaledReal.from_float(sign * x, q)
-        assert 1.0 <= s.mantissa < 1.0 / qv
         assert s.to_float() == pytest.approx(sign * x, rel=1e-15)
         again = ScaledReal.from_float(s.to_float(), q)
         assert again.sign == s.sign
-        assert 1.0 <= again.mantissa < 1.0 / qv
         assert again.to_float() == pytest.approx(s.to_float(), rel=1e-15)
 
     def test_zero_canonical(self):
@@ -357,22 +380,33 @@ class TestScaledReal:
         s = ScaledReal.from_q_power(-60.25, q)
         assert s.log_abs() == pytest.approx(-60.25 * q.log, rel=1e-15)
 
-    def test_arithmetic(self):
-        q = QBase(0.5)
-        a = ScaledReal.from_float(3.0, q)
-        b = ScaledReal.from_float(-0.75, q)
-        assert (a * b).to_float() == pytest.approx(-2.25, rel=1e-15)
-        assert (a * ScaledReal.from_float(0.0, q)).is_zero
-
     def test_overflow_free_magnitudes(self):
         q = QBase(0.5)
         huge = ScaledReal.from_float(1.5, q).q_shift(-5000)  # 1.5 * 2^5000
         assert huge.to_float() == math.inf
-        tiny = ScaledReal.from_float(1 / 1.5, q).q_shift(5000)  # 2^-5000 / 1.5
-        assert (huge * tiny).to_float() == pytest.approx(1.0, rel=1e-15)
+        assert huge.log_abs() == pytest.approx(math.log(1.5) + 5000 * math.log(2.0), rel=1e-15)
+        assert huge.q_shift(5000).to_float() == 1.5
 
-    def test_mixed_base_rejected(self):
-        a = ScaledReal.from_float(1.0, QBase(0.5))
-        b = ScaledReal.from_float(1.0, QBase(0.4))
-        with pytest.raises(ValueError):
-            a * b
+    @settings(max_examples=200, deadline=None)
+    @example(m=5e-324, qv=0.5, t=709.0, sign=1)  # the least mantissa, a result near DBL_MAX
+    @example(m=5e-324, qv=0.9999, t=-700.0, sign=-1)
+    @example(m=sys.float_info.max, qv=0.5, t=-744.0, sign=1)  # the greatest, a subnormal result
+    @example(m=sys.float_info.max, qv=1e-8, t=709.7, sign=1)
+    @example(m=1.0, qv=0.9999, t=-2000.0, sign=1)  # e = 1e5 in both directions
+    @example(m=1.0, qv=0.9999, t=2000.0, sign=-1)
+    @given(
+        m=st.floats(min_value=5e-324, max_value=sys.float_info.max),
+        qv=st.floats(1e-8, 0.9999),
+        t=st.floats(-760.0, 720.0),
+        sign=st.sampled_from([1, -1]),
+    )
+    def test_to_float_against_mpmath(self, m, qv, t, sign):
+        # the exponent that puts ln|value| near t, within |e| <= 1e5
+        e = max(-10**5, min(10**5, round((math.log(m) - t) / -math.log(qv))))
+        got = ScaledReal(sign, m, e, QBase(qv)).to_float()
+        with mp.workdps(40):
+            ref = sign * mp.mpf(m) * mp.mpf(qv) ** e
+            if abs(got) == math.inf:  # past DBL_MAX, up to the top floats' rounding
+                assert got == sign * math.inf and abs(ref) >= sys.float_info.max * (1 - 4e-16)
+            else:
+                assert abs(got - ref) <= 4 * sys.float_info.epsilon * abs(ref) + 2.0**-1073

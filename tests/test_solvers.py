@@ -97,6 +97,14 @@ class TestThetaForMean:
             back = kb_moments(KempBinomial(n, sol.theta, Q5)).mean
             assert back == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.9, 0.99])
+    def test_residual_reproduces_at_the_returned_theta(self, qv):
+        # KempBinomial keeps sol.theta as given, so its mean is the one the solver certified
+        q = QBase(qv)
+        for n, mu in ((10, 1.0), (100, 3.0), (1000, 7.5), (10**6, 40.0)):
+            sol = theta_for_mean(n, q, mu)
+            assert abs(kb_moments(KempBinomial(n, sol.theta, q)).mean - mu) == sol.residual, (n, mu)
+
     def test_theta_sequence_strictly_decreasing(self):
         thetas = [theta_for_mean(n, Q5, 1.0).theta for n in range(2, 51)]
         assert all(a > b for a, b in zip(thetas, thetas[1:]))
