@@ -244,14 +244,7 @@ def _cmd_converge(args) -> dict:
     if args.q_list:
         params["q_list"] = [float(s) for s in args.q_list.split(",")]
     report = convergence_sweep(args.scenario, params, parse_n_list(args.n_list) if args.n_list else [])
-    rows = report.rows
-    return {
-        "n": [r.n for r in rows],
-        "distance": [r.distance for r in rows],
-        **{k: [r.auxiliary[k] for r in rows] for k in rows[0].auxiliary},  # every row has the same keys
-        "threshold": report.threshold,
-        "verdict": report.verdict,
-    }
+    return {**report.columns, "threshold": report.threshold, "verdict": report.verdict}
 
 
 _COMMANDS = {

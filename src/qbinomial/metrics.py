@@ -9,7 +9,7 @@ verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,32 +36,24 @@ from .distributions import (
 from .qcalc import QBase, ScaledReal, as_qbase
 from .solvers import _thetas_for_mean, theta_for_poisson
 
-__all__ = [
-    "ConvergenceRow",
-    "SweepReport",
-    "convergence_sweep",
-    "tabulate",
-    "tv_distance",
-]
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    distance: float
-    auxiliary: dict = field(default_factory=dict)
+__all__ = ["SweepReport", "convergence_sweep", "tabulate", "tv_distance"]
 
 
 @dataclass(frozen=True)
 class SweepReport:
+    """A sweep's table: each column name maps to a list, one value per row, in document order."""
+
     scenario: str
-    rows: tuple
+    columns: dict
     threshold: float
     passed: bool
 
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
+
+    # the row indexes; not a field: the benchmark's sweep hook (perfbench/tracing.py) reads len(rows)
+    rows = property(lambda self: range(len(self.columns["n"])))
 
 
 def tabulate(law) -> PMFTable:
@@ -119,7 +111,9 @@ def tv_distance(a: PMFTable, b: PMFTable) -> float:
     the sum exactly once, so neither the 0.0 padding of a set of tables nor the
     order of the terms, which it takes largest first for speed, can change a distance.
     """
-    return _tv_rows(_rows(a), _rows(b))[0]
+    # disjoint windows share no point: b moved next to a keeps every gap, in len(a) + len(b) entries
+    first = a.last + 1 if a.last < b.offset or b.last < a.offset else b.offset
+    return _tv_rows(_rows(a), ([first], b.probs[None]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,39 +154,31 @@ def _kb_distances(laws: list, q: QBase, limit: tuple, shifts: list | None = None
     return out
 
 
-def _sweep_poisson(q: QBase, params: dict, n_list) -> list:
+def _sweep_poisson(q: QBase, params: dict, n_list) -> dict:
     (lam,) = _require(params, "lam")
     limit = _rows(tabulate(Heine((1.0 - q.value) * lam, q)))
     thetas = [theta_for_poisson(n, q, lam) for n in n_list]
     laws = [KempBinomial(n, theta, q) for n, theta in zip(n_list, thetas)]
     (means,) = _logit_sums(("sigmoid",), laws)
-    return [
-        ConvergenceRow(n, dist, {"theta": theta, "mean": mean})
-        for n, theta, mean, dist in zip(n_list, thetas, means, _kb_distances(laws, q, limit))
-    ]
+    return {"n": n_list, "distance": _kb_distances(laws, q, limit), "theta": thetas, "mean": means}
 
 
-def _sweep_constant_mean(q: QBase, params: dict, n_list) -> list:
+def _sweep_constant_mean(q: QBase, params: dict, n_list) -> dict:
     (mu,) = _require(params, "mu")
     limit_sol, *sols = _thetas_for_mean(q, mu, [math.inf, *n_list])
     theta_inf = limit_sol.theta
     limit = _rows(tabulate(Heine(theta_inf, q)))
     laws = [KempBinomial(n, sol.theta, q) for n, sol in zip(n_list, sols)]
-    return [
-        ConvergenceRow(
-            n,
-            dist,
-            {
-                "theta": sol.theta,
-                "residual": sol.residual,
-                "theta_limit_gap": abs(sol.theta - theta_inf),
-            },
-        )
-        for n, sol, dist in zip(n_list, sols, _kb_distances(laws, q, limit))
-    ]
+    return {
+        "n": n_list,
+        "distance": _kb_distances(laws, q, limit),
+        "theta": [sol.theta for sol in sols],
+        "residual": [sol.residual for sol in sols],
+        "theta_limit_gap": [abs(sol.theta - theta_inf) for sol in sols],
+    }
 
 
-def _sweep_subexponential(q: QBase, params: dict, n_list) -> list:
+def _sweep_subexponential(q: QBase, params: dict, n_list) -> dict:
     slope, offset = _require(params, "slope", "offset")
     drift = FractionalDrift(Fraction(slope), float(offset))
     # beta_fraction(n) depends only on n mod the slope's denominator
@@ -218,14 +204,16 @@ def _sweep_subexponential(q: QBase, params: dict, n_list) -> list:
         math.ceil(mu) if half and 2 * (drift.slope * n + exact_offset) > n - 1 else math.floor(mu)
         for n, mu in zip(n_list, means)
     ]
-    beta_value = float(beta)
-    return [
-        ConvergenceRow(n, dist, {"mean": mu, "shift": float(k), "beta": beta_value})
-        for n, mu, k, dist in zip(n_list, means, shifts, _kb_distances(laws, q, limit, shifts))
-    ]
+    return {
+        "n": n_list,
+        "distance": _kb_distances(laws, q, limit, shifts),
+        "mean": means,
+        "shift": [float(k) for k in shifts],
+        "beta": [float(beta)] * len(n_list),
+    }
 
 
-def _sweep_reflection(q: QBase, params: dict, n_list) -> list:
+def _sweep_reflection(q: QBase, params: dict, n_list) -> dict:
     (theta,) = _require(params, "theta")
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
@@ -239,12 +227,10 @@ def _sweep_reflection(q: QBase, params: dict, n_list) -> list:
         distances += _tv_rows(reflected, limit)
         # on the union lattice: the windows may differ at a tied mode
         gaps += np.abs(_gaps(reflected, exact_rows)).max(axis=1).tolist()
-    return [
-        ConvergenceRow(n, dist, {"exact_identity_gap": g}) for n, dist, g in zip(n_list, distances, gaps)
-    ]
+    return {"n": n_list, "distance": distances, "exact_identity_gap": gaps}
 
 
-def _sweep_degenerate(q: QBase, params: dict, n_list) -> list:
+def _sweep_degenerate(q: QBase, params: dict, n_list) -> dict:
     fn = params.get("fn", "sqrt")
     f = math.sqrt if fn == "sqrt" else FractionalDrift(Fraction(fn)).value
     laws = [KempBinomial(n, ScaledReal.from_q_power(-(n + f(n)), q), q) for n in n_list]
@@ -254,22 +240,17 @@ def _sweep_degenerate(q: QBase, params: dict, n_list) -> list:
         first, probs = reflected = _reflected(rows, n_list[part])
         distances += _tv_rows(reflected, point)
         p0 += [float(p[-x]) if 0 <= -x < p.size else 0.0 for p, x in zip(probs, first)]
-    return [ConvergenceRow(n, dist, {"p0": p}) for n, dist, p in zip(n_list, distances, p0)]
+    return {"n": n_list, "distance": distances, "p0": p0}
 
 
-def _sweep_q_to_1(q: QBase, params: dict, n_list) -> list:
+def _sweep_q_to_1(q: QBase, params: dict, n_list) -> dict:
     n, theta = _require(params, "n", "theta")
     if not 0.0 <= theta < math.inf:
         raise ValueError(f"theta must be nonnegative and finite, got {theta!r}")
-    q_list = params.get("q_list") or [q.value]
+    q_list = list(params.get("q_list") or [q.value])
     limit = binomial_table(Binomial(n, theta / (1.0 + theta)))
-    rows = []
-    for qv in q_list:
-        d = KempBinomial(n, theta, QBase(qv))
-        rows.append(
-            ConvergenceRow(n, tv_distance(kb_table(d), limit), {"q": qv})
-        )
-    return rows
+    distances = [tv_distance(kb_table(KempBinomial(n, theta, QBase(qv))), limit) for qv in q_list]
+    return {"n": [n] * len(q_list), "distance": distances, "q": q_list}
 
 
 # scenario: (sweep, default threshold)
@@ -290,7 +271,10 @@ def convergence_sweep(scenario: str, params: dict, n_list: Sequence[int]) -> Swe
     n_list must be strictly increasing (for q-to-1-binomial the rows sweep the
     q ladder in params['q_list'] at fixed n instead). The verdict compares the
     final row's distance against the scenario threshold, overridable through
-    params['threshold'].
+    params['threshold']. The report's columns are n, distance, then the scenario's own:
+    theta, mean (poisson-coupling); theta, residual, theta_limit_gap (constant-mean);
+    mean, shift, beta (subexponential); exact_identity_gap (exponential-reflection);
+    p0 (degenerate); q (q-to-1-binomial).
     """
     if scenario not in _SWEEPS:
         raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
@@ -302,10 +286,5 @@ def convergence_sweep(scenario: str, params: dict, n_list: Sequence[int]) -> Swe
     threshold = float(params.get("threshold", default_threshold))
     if not 0.0 <= threshold < math.inf:
         raise ValueError(f"threshold must be nonnegative and finite, got {threshold!r}")
-    rows = sweep(q, params, list(n_list))
-    return SweepReport(
-        scenario=scenario,
-        rows=tuple(rows),
-        threshold=threshold,
-        passed=rows[-1].distance <= threshold,
-    )
+    columns = sweep(q, params, list(n_list))
+    return SweepReport(scenario, columns, threshold, passed=columns["distance"][-1] <= threshold)

@@ -473,22 +473,28 @@ def q_pochhammer(z, q, n: int) -> ScaledReal:
     return ScaledReal(sign, math.exp(log_abs - e * q.log), e + E, q)
 
 
+def _q_exp(z: float, q, power: int, guard: float | None = None) -> float:
+    """(z; q)_inf ** power for power = +-1; +-inf past DBL_MAX, as ScaledReal.to_float gives it."""
+    q = as_qbase(q)
+    sign, E, head, sums = _log_pochhammer(z, q, guard=guard)
+    try:
+        return sign * math.exp(power * math.fsum([_fold(*head, E, -q.log), *sums]))
+    except OverflowError:
+        return sign * math.inf
+
+
 def e_q(z: float, q) -> float:
     """Small q-exponential e_q(z) = 1 / (z; q)_inf.
 
     Raises PoleError when some factor |1 - z q^i| falls below 1e-12, i.e.
     when z approaches a pole q**(-i).
     """
-    q = as_qbase(q)
-    sign, E, head, sums = _log_pochhammer(float(z), q, guard=1e-12)
-    return sign * math.exp(-math.fsum([_fold(*head, E, -q.log), *sums]))
+    return _q_exp(float(z), q, -1, guard=1e-12)
 
 
 def E_q(z: float, q) -> float:
     """Large q-exponential E_q(z) = (-z; q)_inf; satisfies e_q(z)E_q(-z) = 1."""
-    q = as_qbase(q)
-    sign, E, head, sums = _log_pochhammer(-float(z), q)
-    return sign * math.exp(math.fsum([_fold(*head, E, -q.log), *sums]))
+    return _q_exp(-float(z), q, 1)
 
 
 def q_number(x: float, q) -> float:

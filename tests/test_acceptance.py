@@ -125,8 +125,9 @@ def test_criterion_3_poisson_coupling():
     rep = convergence_sweep(
         "poisson-coupling", {"q": Q5, "lam": 2.0}, list(range(10, 101, 10))
     )
-    assert rep.rows[-1].distance <= 1e-6
-    tail = [r.distance for r in rep.rows[len(rep.rows) // 2 :]]
+    dists = rep.columns["distance"]
+    assert dists[-1] <= 1e-6
+    tail = dists[len(dists) // 2 :]
     assert all(a >= b - 1e-15 for a, b in zip(tail, tail[1:]))
 
 
@@ -218,8 +219,8 @@ def test_criterion_7_subexponential_limit():
         {"q": Q5, "slope": Fraction(1, 2), "offset": 0.3},
         list(range(20, 121, 2)),
     )
-    assert rep.rows[-1].n == 120
-    assert rep.rows[-1].distance <= 1e-4
+    assert rep.columns["n"][-1] == 120
+    assert rep.columns["distance"][-1] <= 1e-4
 
     for beta in (0.0, 0.3, 0.5, 0.7):
         law = limit_law(beta, Q5)

@@ -32,6 +32,7 @@ from qbinomial.distributions import (
     reflect,
     sample_by_inversion,
 )
+from qbinomial.metrics import tv_distance
 from qbinomial.qcalc import E_q, QBase, ScaledReal, _lattice_parts
 
 Q5 = QBase(0.5)
@@ -582,6 +583,52 @@ class TestReflect:
         lhs = reflect(kb_table(d), n)
         rhs = kb_table(KempBinomial(n, 0.5 / theta, Q5))
         assert np.max(np.abs(lhs.probs - rhs.probs)) < 1e-12
+
+
+def _convolved(a: PMFTable, b: PMFTable) -> PMFTable:
+    """The table of X + Y for independent X ~ a and Y ~ b."""
+    return PMFTable(a.offset + b.offset, np.convolve(a.probs, b.probs))
+
+
+class TestSplitIdentities:
+    """KB is a sum of independent Bernoullis, trial i with odds theta q^i, so splitting the
+    trials after the first n is an exact convolution identity of the tables:
+    KB(n + m, theta) = KB(n, theta) * KB(m, theta q^n) and H(theta) = KB(n, theta) * H(theta q^n).
+    Each side rounds once per entry, so the tolerance is eps per window entry."""
+
+    # (q, n, m, theta's mantissa, theta's q-exponent): theta = q^-(n + m - 5) or q^-(n + m - 10)
+    # puts the window at the support's end, where ln(1 - q^(n - x)) is far from 0; at
+    # q = 0.99999, n + m <= 2500 keeps the support shorter than the window
+    @pytest.mark.parametrize(
+        "qv, n, m, mantissa, exponent",
+        [
+            (0.5, 40, 60, 1.3, 0),
+            (0.5, 40, 60, 1.0, -95),
+            (0.9, 300, 200, 7.0, 0),
+            (0.999, 3000, 2000, 1.0, -4990),
+            (0.999, 5000, 5000, 1e3, 0),
+            (0.9999, 10**6, 10**6, 1.0, -(10**6 + 2000)),
+            (0.9999, 3000, 2000, 1.0, -4995),
+            (0.99999, 1500, 1000, 1.0, -2490),
+            (0.99999, 1500, 1000, 0.5, 0),
+        ],
+    )
+    def test_kb_split(self, qv, n, m, mantissa, exponent):
+        q = QBase(qv)
+        theta = ScaledReal(1, mantissa, exponent, q)
+        whole = kb_table(KempBinomial(n + m, theta, q))
+        split = _convolved(kb_table(KempBinomial(n, theta, q)), kb_table(KempBinomial(m, theta.q_shift(n), q)))
+        assert tv_distance(whole, split) <= np.finfo(float).eps * len(whole)
+
+    @pytest.mark.parametrize(
+        "qv, n, theta", [(0.5, 30, 2.0), (0.9, 50, 10.0), (0.999, 500, 2.0), (0.9999, 5000, 2.0)]
+    )
+    def test_heine_split(self, qv, n, theta):
+        q = QBase(qv)
+        head = kb_table(KempBinomial(n, theta, q))
+        tail = heine_table(Heine(ScaledReal.from_float(theta, q).q_shift(n).to_float(), q))
+        whole = heine_table(Heine(theta, q))
+        assert tv_distance(whole, _convolved(head, tail)) <= np.finfo(float).eps * len(whole)
 
 
 def _law_grid(count: int, seed: int) -> list:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,13 @@ class TestDistances:
     def test_disjoint_point_masses(self):
         assert tv_distance(point_mass(0), point_mass(1)) == 1.0
 
+    def test_far_apart_windows_build_no_gap_array(self):
+        # the union lattice between these windows would hold 10**12 entries, 7.3 TiB of float64
+        start = time.perf_counter()
+        assert tv_distance(point_mass(0), point_mass(10**12)) == 1.0
+        assert tv_distance(point_mass(10**12), point_mass(0)) == 1.0
+        assert time.perf_counter() - start < 1.0
+
     def test_tv_stays_within_unit_interval(self):
         # entries may sum to 1 + 1e-12 within PMFTable's consistency tolerance
         a = PMFTable(0, np.array([0.5, 0.5 + 1e-12]))
@@ -141,8 +149,9 @@ class TestSweeps:
             "poisson-coupling", {"q": Q5, "lam": 2.0}, list(range(10, 101, 10))
         )
         assert rep.passed
-        assert rep.rows[-1].distance < 1e-8
-        tail = [r.distance for r in rep.rows[len(rep.rows) // 2 :]]
+        dists = rep.columns["distance"]
+        assert dists[-1] < 1e-8
+        tail = dists[len(dists) // 2 :]
         assert all(a >= b for a, b in zip(tail, tail[1:]))
 
     def test_constant_mean(self):
@@ -150,7 +159,7 @@ class TestSweeps:
             "constant-mean", {"q": Q5, "mu": 1.0}, [5, 10, 20, 40, 80]
         )
         assert rep.passed
-        dists = [r.distance for r in rep.rows]
+        dists = rep.columns["distance"]
         assert dists[-1] < 1e-6
         assert all(a >= b for a, b in zip(dists, dists[1:]))
 
@@ -169,9 +178,10 @@ class TestSweeps:
             list(range(20, 121, 2)),
         )
         assert rep.passed
-        assert rep.rows[-1].distance < 1e-4
+        dists = rep.columns["distance"]
+        assert dists[-1] < 1e-4
         # monotone decrease down to the pmf-evaluation noise floor (~1e-13)
-        tail = [r.distance for r in rep.rows[len(rep.rows) // 2 :]]
+        tail = dists[len(dists) // 2 :]
         assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
     def test_subexponential_beta_half_branch(self):
@@ -187,24 +197,25 @@ class TestSweeps:
             "exponential-reflection", {"q": Q5, "theta": 2.0}, list(range(10, 81, 10))
         )
         assert rep.passed
-        assert rep.rows[-1].distance < 1e-6
-        assert all(r.auxiliary["exact_identity_gap"] < 1e-12 for r in rep.rows)
-        tail = [r.distance for r in rep.rows[len(rep.rows) // 2 :]]
+        dists = rep.columns["distance"]
+        assert dists[-1] < 1e-6
+        assert all(g < 1e-12 for g in rep.columns["exact_identity_gap"])
+        tail = dists[len(dists) // 2 :]
         assert all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
     def test_exponential_reflection_tied_mode(self):
         # theta = 1, q = 0.5: P(0) = P(1), so the mode is a tie, and the reflected
         # and the direct windowed tables end one entry apart
         rep = convergence_sweep("exponential-reflection", {"q": Q5, "theta": 1.0}, [1517])
-        assert rep.rows[0].auxiliary["exact_identity_gap"] < 1e-12
+        assert rep.columns["exact_identity_gap"][0] < 1e-12
 
     def test_degenerate(self):
         rep = convergence_sweep(
             "degenerate", {"q": Q5, "fn": "sqrt"}, [100, 200, 400]
         )
         assert rep.passed
-        assert rep.rows[-1].auxiliary["p0"] >= 1 - 1e-5
-        dists = [r.distance for r in rep.rows]
+        assert rep.columns["p0"][-1] >= 1 - 1e-5
+        dists = rep.columns["distance"]
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
 
     def test_threshold_override(self):
@@ -223,7 +234,7 @@ class TestSweeps:
             [],
         )
         assert rep.passed
-        dists = [r.distance for r in rep.rows]
+        dists = rep.columns["distance"]
         assert dists[-1] <= 1e-3
         assert all(a >= b for a, b in zip(dists, dists[1:]))
 
@@ -251,7 +262,7 @@ class TestSweeps:
 
     def test_q_to_1_theta_zero_is_the_point_mass(self):
         rep = convergence_sweep("q-to-1-binomial", {"q": Q5, "n": 10, "theta": 0.0, "q_list": [0.9]}, [])
-        assert rep.rows[0].distance == 0.0
+        assert rep.columns["distance"][0] == 0.0
 
     @pytest.mark.parametrize("threshold", [-1.0, -1e-300, math.nan, math.inf])
     def test_threshold_must_be_finite_and_nonnegative(self, threshold):
@@ -302,9 +313,10 @@ class TestSweepReference:
             "subexponential", {"q": q, "slope": slope, "offset": offset}, n_list
         )
         drift = FractionalDrift(slope, offset)
-        assert [r.n for r in rep.rows] == n_list
-        for row in rep.rows:
-            n = row.n
+        cols = rep.columns
+        assert list(cols) == ["n", "distance", "mean", "shift", "beta"]
+        assert cols["n"] == n_list
+        for i, n in enumerate(n_list):
             beta = drift.beta_fraction(n)
             d = KempBinomial(n, ScaledReal.from_q_power(-drift.value(n), q), q)
             mu = kb_moments(d).mean
@@ -317,14 +329,14 @@ class TestSweepReference:
             ref = two_array_tv(shifted, limit)
             assert tv_distance(shifted, limit) == ref
             assert tv_distance(limit, shifted) == two_array_tv(limit, shifted)
-            assert row.distance == ref
-            assert row.auxiliary == {"mean": mu, "shift": float(shift), "beta": float(beta)}
+            assert cols["distance"][i] == ref
+            assert (cols["mean"][i], cols["shift"][i], cols["beta"][i]) == (mu, float(shift), float(beta))
 
     def test_poisson_coupling_mean(self):
         rep = convergence_sweep("poisson-coupling", {"q": Q5, "lam": 2.0}, list(range(10, 101, 10)))
-        for row in rep.rows:
-            d = KempBinomial(row.n, row.auxiliary["theta"], Q5)
-            assert row.auxiliary["mean"] == kb_moments(d).mean
+        cols = rep.columns
+        for n, theta, mean in zip(cols["n"], cols["theta"], cols["mean"], strict=True):
+            assert mean == kb_moments(KempBinomial(n, theta, Q5)).mean
 
 
 def union_gap(a: PMFTable, b: PMFTable) -> np.ndarray:
@@ -382,19 +394,21 @@ class TestBatchedRows:
         q = QBase(qv)
         rep = convergence_sweep("poisson-coupling", {"q": q, "lam": 2.0}, list(range(10, 401, 10)))
         limit = tabulate(Heine((1.0 - qv) * 2.0, q))
-        for row in rep.rows:
-            d = KempBinomial(row.n, row.auxiliary["theta"], q)
-            assert row.distance == tv_distance(kb_table(d), limit)
-            assert row.auxiliary["mean"] == kb_moments(d).mean
+        cols = rep.columns
+        assert list(cols) == ["n", "distance", "theta", "mean"]
+        for n, dist, theta, mean in zip(*cols.values(), strict=True):
+            d = KempBinomial(n, theta, q)
+            assert dist == tv_distance(kb_table(d), limit)
+            assert mean == kb_moments(d).mean
 
     @pytest.mark.parametrize("qv", BATCH_QS)
     def test_constant_mean(self, qv):
         q = QBase(qv)
         rep = convergence_sweep("constant-mean", {"q": q, "mu": 1.5}, [3, 10, 40, 200])
         limit = tabulate(Heine(theta_limit_for_mean(q, 1.5).theta, q))
-        for row in rep.rows:
-            d = KempBinomial(row.n, row.auxiliary["theta"], q)
-            assert row.distance == tv_distance(kb_table(d), limit)
+        cols = rep.columns
+        for n, dist, theta in zip(cols["n"], cols["distance"], cols["theta"], strict=True):
+            assert dist == tv_distance(kb_table(KempBinomial(n, theta, q)), limit)
 
     @pytest.mark.parametrize("qv", BATCH_QS)
     @pytest.mark.parametrize(
@@ -415,13 +429,14 @@ class TestBatchedRows:
         n_list = list(range(1, 61, 2))
         rep = convergence_sweep("exponential-reflection", {"q": q, "theta": theta}, n_list)
         limit = tabulate(Heine(qv / theta, q))
-        for n, row in zip(n_list, rep.rows):
+        assert list(rep.columns) == ["n", "distance", "exact_identity_gap"]
+        assert rep.columns["n"] == n_list
+        for n, dist, gap in zip(*rep.columns.values(), strict=True):
             d = KempBinomial(n, ScaledReal.from_float(theta, q).q_shift(-n), q)
             reflected = reflect(kb_table(d), n)
             exact = kb_table(KempBinomial(n, qv / theta, q))
-            assert row.distance == tv_distance(reflected, limit)
-            gap = float(np.max(np.abs(union_gap(reflected, exact))))
-            assert row.auxiliary == {"exact_identity_gap": gap}
+            assert dist == tv_distance(reflected, limit)
+            assert gap == float(np.max(np.abs(union_gap(reflected, exact))))
 
     @pytest.mark.parametrize("qv", BATCH_QS)
     @pytest.mark.parametrize("fn", ["sqrt", Fraction(1, 2)])
@@ -429,11 +444,13 @@ class TestBatchedRows:
         q = QBase(qv)
         n_list = [1, 4, 9, 30, 100, 400]
         rep = convergence_sweep("degenerate", {"q": q, "fn": fn}, n_list)
-        for n, row in zip(n_list, rep.rows):
+        assert list(rep.columns) == ["n", "distance", "p0"]
+        assert rep.columns["n"] == n_list
+        for n, dist, p0 in zip(*rep.columns.values(), strict=True):
             f = math.sqrt(n) if fn == "sqrt" else FractionalDrift(fn).value(n)
             reflected = reflect(kb_table(KempBinomial(n, ScaledReal.from_q_power(-(n + f), q), q)), n)
-            assert row.distance == tv_distance(reflected, point_mass(0))
-            assert row.auxiliary == {"p0": reflected.prob(0)}
+            assert dist == tv_distance(reflected, point_mass(0))
+            assert p0 == reflected.prob(0)
 
     def test_tv_uses_the_union_gap(self):
         kb = kb_table(KempBinomial(30, 2.0, Q5))

@@ -310,6 +310,23 @@ class TestUnderflowRule:
             assert abs(mp.mpf(got) - ref) <= tol * ref + mp.mpf(2) ** -1074
 
 
+# (name, z, q, value) whose e_q / E_q value is past DBL_MAX: ln |value| runs from 5.8e3 to 3.4e5
+_OVERFLOW_CASES = [
+    ("e_q", 0.5, 0.9999, math.inf),
+    ("e_q", 0.999, 0.99999, math.inf),
+    ("E_q", 5.0, 0.9999, math.inf),
+    ("E_q", 1e300, 0.5, math.inf),
+    # (1e300; 0.5)_inf: the 997 factors 1 - 1e300 * 0.5^i with i <= 996 are negative
+    ("E_q", -1e300, 0.5, -math.inf),
+]
+
+
+@pytest.mark.parametrize("name,z,q,value", _OVERFLOW_CASES)
+def test_overflow_gives_signed_inf(name, z, q, value):
+    # as ScaledReal.to_float gives a value past DBL_MAX
+    assert {"e_q": e_q, "E_q": E_q}[name](z, QBase(q)) == value
+
+
 def reflection_log(z, q, n):
     """ln of q^(n(n-1)/2) z^n prod_{i<n} (1 + q^-i / z), the reflected (-z; q)_n."""
     lz = z.log_abs()

@@ -1,6 +1,7 @@
 """Every example in README.md runs: each `qbinomial ...` line of its sh blocks
 exits 0 through cli.main and writes the same document as CSV and as JSON, and
-its Python quick tour executes. Every name its Layout table gives exists."""
+its Python quick tour executes. Each `# columns:` comment is its command's CSV
+header. Every name its Layout table gives exists."""
 
 import csv
 import importlib
@@ -71,6 +72,35 @@ def test_csv_and_json_agree(capsys, argv):
             assert got == value or (math.isnan(got) and math.isnan(value))
     for name in CONSTANT_COLUMNS.get(argv[0], ()):
         assert len({record[name] for record in data}) == 1
+
+
+def column_notes() -> list:
+    """(argv or None, header) of each `# columns:` comment in the sh blocks: the command on
+    its line, or else the line directly above, which must be a command."""
+    notes, above = [], None
+    for block in blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, header = line.partition("# columns:")
+            argv = shlex.split(command)[1:] if command.startswith("qbinomial ") else None
+            if header:
+                notes.append((argv or above, header.strip()))
+            above = argv
+    return notes
+
+
+COLUMN_NOTES = column_notes()
+
+
+def test_every_converge_example_names_its_columns():
+    noted = [argv for argv, _ in COLUMN_NOTES]
+    assert all(argv in noted for argv in COMMANDS if argv[0] == "converge")
+
+
+@pytest.mark.parametrize("argv, header", COLUMN_NOTES, ids=[h for _, h in COLUMN_NOTES])
+def test_columns_comment_is_the_csv_header(capsys, argv, header):
+    assert argv, f"'# columns: {header}' annotates no command"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split("\n", 1)[0] == header
 
 
 def layout_rows() -> list:
