@@ -93,13 +93,8 @@ def _rational(text: str) -> Fraction:
 
 
 def _csv_column(values: list) -> tuple[str, list]:
-    """(% format, values) of a CSV column: a float to 17 significant digits, anything else by str."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return "%.17g", values
-    if not any(issubclass(k, float) for k in kinds):
-        return "%s", values
-    return "%s", [f"{v:.17g}" if isinstance(v, float) else str(v) for v in values]
+    """(% format, values) of a CSV column: all floats to 17 significant digits, anything else by str."""
+    return ("%.17g" if set(map(type, values)) == {float} else "%s"), values
 
 
 def _json_column(values: list) -> tuple[str, list]:
@@ -166,7 +161,7 @@ def _cmd_pmf(args) -> dict:
 
 def _cmd_moments(args) -> dict:
     law = _dist_from_args(args)
-    if isinstance(law, (KempBinomial, Heine)):
+    if isinstance(law, KempBinomial):
         m = kb_moments(law)
         return {"mean": [m.mean], "variance": [m.variance]}
     # the discrete normal: both sums in u = x - round(alpha), which keep their digits at any alpha

@@ -58,23 +58,25 @@ class SupportError(ValueError):
 class KempBinomial(_CacheOwner):
     """KB(n, theta, q): trial count n >= 0, shape theta >= 0, base q in (0,1).
 
-    theta may be given as a plain float, stored as ScaledReal.from_float(theta)
-    without a rounding, or as a ScaledReal m q^e, kept as given.
+    n = math.inf is the Heine law H(theta). theta may be given as a finite float, stored as
+    ScaledReal.from_float(theta) without a rounding, or as a ScaledReal m q^e, kept as given.
     theta = 0 is admitted as the point mass at 0.
     """
 
-    n: int
+    n: int | float
     theta: ScaledReal
     q: QBase
 
     def __post_init__(self):
         q = as_qbase(self.q)
         object.__setattr__(self, "q", q)
-        if type(self.n) is not int or self.n < 0:  # bool is not an n
-            raise ValueError(f"n must be a nonnegative integer, got {self.n!r}")
+        if not (type(self.n) is int and self.n >= 0 or self.n == math.inf):  # bool is not an n
+            raise ValueError(f"n must be a nonnegative integer or inf, got {self.n!r}")
         th = self.theta
         if not isinstance(th, ScaledReal):
-            th = ScaledReal.from_float(float(th), q)
+            if not 0.0 <= float(th) < math.inf:
+                raise ValueError(f"theta must be finite and nonnegative, got {th!r}")
+            th = ScaledReal.from_float(th, q)
         elif th.q.value != q.value:
             raise ValueError("theta carries a different q base")
         if th.sign < 0:
@@ -87,17 +89,12 @@ class KempBinomial(_CacheOwner):
         return kb_table(self)
 
 
-@dataclass(frozen=True)
-class Heine:
-    """Heine law H(theta) on {0, 1, ...}, the q-analogue of the Poisson law."""
+def Heine(theta, q) -> KempBinomial:
+    """Heine law H(theta) on {0, 1, ...}, the q-analogue of the Poisson law: KB(inf, theta, q).
 
-    theta: float
-    q: QBase
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_qbase(self.q))
-        if not 0.0 <= self.theta < math.inf:
-            raise ValueError(f"theta must be finite and nonnegative, got {self.theta!r}")
+    theta is a float or a ScaledReal, kept as given, as KempBinomial keeps it.
+    """
+    return KempBinomial(math.inf, theta, q)
 
 
 @dataclass(frozen=True)
@@ -225,17 +222,14 @@ def _normalised_table(offset: int, logw: np.ndarray) -> PMFTable:
 # Kemp q-binomial
 
 
-def _logits(d: KempBinomial | Heine) -> tuple[float, int, int | float]:
+def _logits(d: KempBinomial) -> tuple[float, int, int | float]:
     """(ln m, e, n): d is the sum of n independent Bernoullis with logits t_i = ln m - (e + i) h.
 
-    Here i < n and h = ln(1/q): KB(n, m q^e, q) is (ln m, e, n) and H(theta) is
-    (ln theta, 0, inf). At theta = 0 every logit is -inf, so both laws are the sum of
-    no Bernoullis, (0, 0, 0): the point mass at 0, which every evaluator gives at n = 0.
+    Here i < n and h = ln(1/q): KB(n, m q^e, q) is (ln m, e, n), and H(theta) is the same
+    with n = inf. At theta = 0 every logit is -inf, so the law is the sum of no
+    Bernoullis, (0, 0, 0): the point mass at 0, which every evaluator gives at n = 0.
     """
-    if isinstance(d, Heine):
-        m, e, n = d.theta, 0, math.inf
-    else:
-        m, e, n = d.theta.mantissa, d.theta.exponent, d.n
+    m, e, n = d.theta.mantissa, d.theta.exponent, d.n
     return (math.log(m), e, n) if m else (0.0, 0, 0)
 
 
@@ -249,7 +243,7 @@ def _logit_sums(kinds: tuple, laws: list) -> list[list[float]]:
     return _lattice_sums(kinds, [(lm - e * h, n) for lm, e, n in map(_logits, laws)], h)
 
 
-def kb_log_pmf(d: KempBinomial | Heine, x: int) -> float:
+def kb_log_pmf(d: KempBinomial, x: int) -> float:
     """ln P(X = x) for KB(n, theta, q) or H(theta) = KB(inf, theta, q); -inf outside {0, ..., n}.
 
     ln P = ln [n choose x]_q - sum_{i<x} softplus(-t_i) - sum_{x<=i<n} softplus(t_i), with
@@ -271,15 +265,15 @@ def kb_log_pmf(d: KempBinomial | Heine, x: int) -> float:
     return -math.fsum(parts)
 
 
-def kb_pmf(d: KempBinomial | Heine, x: int) -> float:
+def kb_pmf(d: KempBinomial, x: int) -> float:
     """P(X = x) for X ~ KB(n, theta, q) or H(theta) = KB(inf, theta, q)."""
     return math.exp(kb_log_pmf(d, x))
 
 
 def _window(logits: tuple, q: QBase, K: int) -> tuple[int, int, int]:
     """(mode, lo, hi) for the logits (ln m, e, n): the window lo..hi is mode +- K clipped to
-    {0, ..., n}, except that a Heine window (n = inf) starts at 0, because perfbench's
-    check_heine_table reads index i of a Heine table as x = i (ROADMAP item 1).
+    {0, ..., n}, except that a Heine window (n = inf, theta a float or a ScaledReal) starts at
+    0: perfbench's check_heine_table reads index i of a Heine table as x = i (ROADMAP item 1).
 
     The mode is the first x with l(x) = ln P(x+1)/P(x) <= 0, found by bisection:
     l(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) lies within c = -ln(1 - q) of
@@ -356,7 +350,7 @@ def _logit_rows(triples: list, q: QBase) -> tuple[list[int], np.ndarray]:
     return first, probs
 
 
-def _logit_table(d: KempBinomial | Heine) -> PMFTable:
+def _logit_table(d: KempBinomial) -> PMFTable:
     """d's table on its window (see _window): l(x) summed outward from the mode."""
     (lm, e, n), h = _logits(d), -d.q.log
     mode, lo, hi = _window((lm, e, n), d.q, _half_width(d.q))
@@ -365,11 +359,11 @@ def _logit_table(d: KempBinomial | Heine) -> PMFTable:
 
 
 def kb_table(d: KempBinomial) -> PMFTable:
-    """Table on the window mode +- K of {0, ..., n}, in O(K + log n)."""
+    """Table on the window mode +- K of {0, ..., n} in O(K + log n), or {0, ..., mode + K} for Heine."""
     return _logit_table(d)
 
 
-def kb_moments(d: KempBinomial | Heine) -> MomentPair:
+def kb_moments(d: KempBinomial) -> MomentPair:
     """Mean and variance of KB(n, theta, q), or of H(theta) = KB(inf, theta, q).
 
     mean = sum_i theta q^i / (1 + theta q^i), variance replaces the
@@ -393,15 +387,16 @@ def kb_sample(d: KempBinomial, rng: np.random.Generator, size: int | None = None
 # Heine: KB(inf, theta, q)
 
 
-def heine_mean(d: Heine) -> float:
+def heine_mean(d: KempBinomial) -> float:
     """Mean of H(theta): sum_{i>=0} theta q^i / (1 + theta q^i), a sigmoid lattice sum."""
     return _logit_sums(("sigmoid",), [d])[0][0]
 
 
-def heine_table(d: Heine) -> PMFTable:
-    """Table on {0, ..., mode + K}: kb_table's log ratio with n = inf, where ln(1 - q^(n-x)) is 0.
+def heine_table(d: KempBinomial) -> PMFTable:
+    """Table of H(theta) = KB(inf, theta, q), theta a float or a ScaledReal, on {0, ..., mode + K}.
 
-    The window starts at 0 whatever the mode, so offset is always 0.
+    kb_table's log ratio with n = inf, where ln(1 - q^(n-x)) is 0. The window starts at 0
+    whatever the mode, so offset is always 0.
     """
     return _logit_table(d)
 

@@ -29,7 +29,6 @@ from .distributions import (
     _logits,
     binomial_table,
     dnorm_table,
-    heine_table,
     kb_table,
     poisson_table,
 )
@@ -60,8 +59,6 @@ def tabulate(law) -> PMFTable:
     """Finite table for any supported law."""
     if isinstance(law, KempBinomial):
         return kb_table(law)
-    if isinstance(law, Heine):
-        return heine_table(law)
     if isinstance(law, DiscreteNormal):
         return dnorm_table(law)
     if isinstance(law, Binomial):

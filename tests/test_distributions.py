@@ -328,6 +328,23 @@ class TestHeine:
             assert kb_moments(kb) == kb_moments(heine), theta
             assert [kb_pmf(kb, x) for x in range(5)] == [kb_pmf(heine, x) for x in range(5)], theta
 
+    def test_is_kb_of_infinite_n(self):
+        # H(theta) is KB(inf, theta, q) itself, with a float or an exact theta past DBL_MAX,
+        # so it keeps its table for kb_sample as any KB law does
+        q = QBase(0.7)
+        for theta in (0.5, ScaledReal(1, 1.0, -2500, q)):
+            d = Heine(theta, q)
+            assert d == KempBinomial(math.inf, theta, q)
+            assert pickle.dumps(d) == pickle.dumps(KempBinomial(math.inf, theta, q))
+            draws = kb_sample(d, np.random.default_rng(3), 1000)
+            assert draws.tolist() == sample_by_inversion(heine_table(d), np.random.default_rng(3), 1000).tolist()
+        for n in (-math.inf, math.nan, 2.0, True):
+            with pytest.raises(ValueError, match="n must be"):
+                KempBinomial(n, 1.0, q)
+        for theta in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="theta must be finite and nonnegative"):
+                Heine(theta, q)
+
     def test_poisson_limit(self):
         q = QBase(0.999)
         d = Heine((1 - 0.999) * 1.0, q)
@@ -599,20 +616,19 @@ class TestSplitIdentities:
     # (q, n, m, theta's mantissa, theta's q-exponent): theta = q^-(n + m - 5) or q^-(n + m - 10)
     # puts the window at the support's end, where ln(1 - q^(n - x)) is far from 0; at
     # q = 0.99999, n + m <= 2500 keeps the support shorter than the window
-    @pytest.mark.parametrize(
-        "qv, n, m, mantissa, exponent",
-        [
-            (0.5, 40, 60, 1.3, 0),
-            (0.5, 40, 60, 1.0, -95),
-            (0.9, 300, 200, 7.0, 0),
-            (0.999, 3000, 2000, 1.0, -4990),
-            (0.999, 5000, 5000, 1e3, 0),
-            (0.9999, 10**6, 10**6, 1.0, -(10**6 + 2000)),
-            (0.9999, 3000, 2000, 1.0, -4995),
-            (0.99999, 1500, 1000, 1.0, -2490),
-            (0.99999, 1500, 1000, 0.5, 0),
-        ],
-    )
+    LAWS = [
+        (0.5, 40, 60, 1.3, 0),
+        (0.5, 40, 60, 1.0, -95),
+        (0.9, 300, 200, 7.0, 0),
+        (0.999, 3000, 2000, 1.0, -4990),
+        (0.999, 5000, 5000, 1e3, 0),
+        (0.9999, 10**6, 10**6, 1.0, -(10**6 + 2000)),
+        (0.9999, 3000, 2000, 1.0, -4995),
+        (0.99999, 1500, 1000, 1.0, -2490),
+        (0.99999, 1500, 1000, 0.5, 0),
+    ]
+
+    @pytest.mark.parametrize("qv, n, m, mantissa, exponent", LAWS)
     def test_kb_split(self, qv, n, m, mantissa, exponent):
         q = QBase(qv)
         theta = ScaledReal(1, mantissa, exponent, q)
@@ -620,13 +636,46 @@ class TestSplitIdentities:
         split = _convolved(kb_table(KempBinomial(n, theta, q)), kb_table(KempBinomial(m, theta.q_shift(n), q)))
         assert tv_distance(whole, split) <= np.finfo(float).eps * len(whole)
 
+    @pytest.mark.parametrize("qv, n, m, mantissa, exponent", LAWS)
+    def test_moment_split(self, qv, n, m, mantissa, exponent):
+        """The moments of the split add, with its m and with m = inf (a Heine tail).
+
+        Each kb_moments mean is within the solvers' rounding certificate
+        eps (mean + var (1 + |ln theta|)) of the exact one: eps per part of its fsum, and a
+        logit t_i off by about eps |ln theta| moves sigmoid(t_i) by dsigmoid(t_i) times that,
+        and the dsigmoids sum to var. |dsigmoid'| <= dsigmoid, so a variance is within
+        eps var (1 + |ln theta|). The exact moments add, so each gap is within the sum of its
+        three laws' certificates.
+        """
+        q, eps = QBase(qv), np.finfo(float).eps
+        theta = ScaledReal(1, mantissa, exponent, q)
+        for tail in (m, math.inf):
+            laws = [
+                KempBinomial(n + tail, theta, q), KempBinomial(n, theta, q), KempBinomial(tail, theta.q_shift(n), q)
+            ]
+            whole, head, rest = moments = [kb_moments(d) for d in laws]
+            spread = math.fsum(eps * mo.variance * (1.0 + abs(d.theta.log_abs())) for d, mo in zip(laws, moments))
+            mean_tol = spread + eps * math.fsum(mo.mean for mo in moments)
+            assert abs(whole.mean - (head.mean + rest.mean)) <= mean_tol, tail
+            assert abs(whole.variance - (head.variance + rest.variance)) <= spread, tail
+
+    # theta = q^-1210 and q^-7000 pass DBL_MAX, so only a ScaledReal theta can carry them
     @pytest.mark.parametrize(
-        "qv, n, theta", [(0.5, 30, 2.0), (0.9, 50, 10.0), (0.999, 500, 2.0), (0.9999, 5000, 2.0)]
+        "qv, n, theta",
+        [
+            (0.5, 30, 2.0),
+            (0.9, 50, 10.0),
+            (0.999, 500, 2.0),
+            (0.9999, 5000, 2.0),
+            pytest.param(0.5, 30, ScaledReal(1, 1.0, -1210, QBase(0.5)), id="0.5-30-q^-1210"),
+            pytest.param(0.9, 50, ScaledReal(1, 1.0, -7000, QBase(0.9)), id="0.9-50-q^-7000"),
+        ],
     )
     def test_heine_split(self, qv, n, theta):
         q = QBase(qv)
-        head = kb_table(KempBinomial(n, theta, q))
-        tail = heine_table(Heine(ScaledReal.from_float(theta, q).q_shift(n).to_float(), q))
+        first = KempBinomial(n, theta, q)
+        head = kb_table(first)
+        tail = heine_table(Heine(first.theta.q_shift(n), q))
         whole = heine_table(Heine(theta, q))
         assert tv_distance(whole, _convolved(head, tail)) <= np.finfo(float).eps * len(whole)
 
