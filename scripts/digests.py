@@ -2,7 +2,7 @@
 
     python3 scripts/digests.py theorem-sweeps 1 2 3 101 201 303 > after.txt
     python3 scripts/digests.py sample-stream 1 2 3 41 > after.txt
-    python3 scripts/digests.py eval-grid 1 2 3 7 > after.txt
+    python3 scripts/digests.py eval-grid 1 2 3 4 7 > after.txt
 
 Run from the root of a checkout: the library is imported from ./src and the
 request lists from ./perfbench/workloads.py, which this script only reads, so one

@@ -175,8 +175,8 @@ class PMFTable(_CacheOwner):
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        """Read-only cumulative sums of the read-only probs, kept from the first draw."""
-        cdf = np.cumsum(self.probs)
+        """Read-only cumulative sums of probs[:-1], kept from the first draw: a u past them all draws the last entry."""
+        cdf = np.cumsum(self.probs[:-1])
         cdf.flags.writeable = False
         return cdf
 
@@ -272,8 +272,7 @@ def kb_pmf(d: KempBinomial, x: int) -> float:
 
 def _window(logits: tuple, q: QBase, K: int) -> tuple[int, int, int]:
     """(mode, lo, hi) for the logits (ln m, e, n): the window lo..hi is mode +- K clipped to
-    {0, ..., n}, except that a Heine window (n = inf, theta a float or a ScaledReal) starts at
-    0: perfbench's check_heine_table reads index i of a Heine table as x = i (ROADMAP item 1).
+    {0, ..., n}, for a Heine law (n = inf) as for any KB law.
 
     The mode is the first x with l(x) = ln P(x+1)/P(x) <= 0, found by bisection:
     l(x) = t_x + ln(1 - q^(n-x)) - ln(1 - q^(x+1)) lies within c = -ln(1 - q) of
@@ -288,7 +287,7 @@ def _window(logits: tuple, q: QBase, K: int) -> tuple[int, int, int]:
     b = min(n, max(0, math.floor((lm - c) / h) - e - 1))
     t = min(n, max(0, math.ceil((lm + c) / h) - e + 1))
     mode = b + bisect.bisect_left(range(b, t), True, key=lambda x: log_ratio(x) <= 0.0)
-    return mode, 0 if n == math.inf else max(0, mode - K), min(n, mode + K)
+    return mode, max(0, mode - K), min(n, mode + K)
 
 
 def _log_ratios(x, a, lo, n, h: float) -> np.ndarray:
@@ -359,7 +358,7 @@ def _logit_table(d: KempBinomial) -> PMFTable:
 
 
 def kb_table(d: KempBinomial) -> PMFTable:
-    """Table on the window mode +- K of {0, ..., n} in O(K + log n), or {0, ..., mode + K} for Heine."""
+    """Table on the window mode +- K of {0, ..., n} in O(K + log n), n = inf for a Heine law."""
     return _logit_table(d)
 
 
@@ -395,10 +394,12 @@ def heine_mean(d: KempBinomial) -> float:
 def heine_table(d: KempBinomial) -> PMFTable:
     """Table of H(theta) = KB(inf, theta, q), theta a float or a ScaledReal, on {0, ..., mode + K}.
 
-    kb_table's log ratio with n = inf, where ln(1 - q^(n-x)) is 0. The window starts at 0
-    whatever the mode, so offset is always 0.
+    kb_table's window mode +- K, with the entries below mode - K, which are 0.0, put in
+    front, so offset is always 0: perfbench's check_heine_table reads index i as x = i
+    (ROADMAP item 1).
     """
-    return _logit_table(d)
+    t = _logit_table(d)
+    return PMFTable(0, np.concatenate((np.zeros(t.offset), t.probs))) if t.offset else t
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +467,14 @@ def sample_by_inversion(t: PMFTable, rng: np.random.Generator, size: int | None 
     """Invert the cumulative sums of a table; deterministic per seed.
 
     A single draw (size=None) bisects a kept tuple of the cumulative sums in pure
-    Python, about 1 us, which the table builds on its first single draw (W floats,
+    Python, about 1 us, which the table builds on its first single draw (W - 1 floats,
     about 32 W bytes); a batch calls np.searchsorted. For u in [0, 1) both find the
     same index, so a draw depends only on its stream position, not on how it is
     asked for.
     """
     if size is None:
-        i = bisect.bisect_right(t._cdf_floats, rng.random())
-        return t.offset + min(i, t.probs.size - 1)
+        return t.offset + bisect.bisect_right(t._cdf_floats, rng.random())
     idx = np.searchsorted(t._cdf, rng.random(size), side="right")
-    np.minimum(idx, t.probs.size - 1, out=idx)
     idx += t.offset
     return idx.astype(np.int64, copy=False)
 

@@ -404,16 +404,29 @@ class TestHeine:
         assert heine_mean(d) == pytest.approx(table_moments(t)[0], rel=1e-11)
 
     def test_window_from_zero_past_k(self):
-        # at q = 0.999, theta = 5 the mode (about 1790) lies past K = 1236,
-        # and the window still starts at 0, so index i holds P(X = i)
+        # at q = 0.999, theta = 5 the mode (about 1790) lies past K = 1236: heine_table
+        # still starts at 0, so index i holds P(X = i), and is kb_table's window with
+        # exact zeros in front
         d = Heine(5.0, QBase(0.999))
-        t = heine_table(d)
+        t, kb = heine_table(d), kb_table(d)
         mode = int(np.argmax(t.probs))
         assert t.offset == 0
-        assert mode > 1236
+        assert mode > 1236 and kb.offset > 0
+        assert not t.probs[: kb.offset].any()
+        assert np.array_equal(t.probs[kb.offset :], kb.probs)
         for x in range(mode - 50, mode + 51):
             assert t.prob(x) == pytest.approx(kb_pmf(d, x), rel=1e-11)
         assert table_moments(t)[0] == pytest.approx(heine_mean(d), rel=1e-11)
+
+    @pytest.mark.parametrize("qv, theta, n", [(0.9999, 1e3, 2 * 10**6), (0.999, 5.0, 10**5), (0.999, 1e300, 10**6)])
+    def test_table_is_kb_table_past_k(self, qv, theta, n):
+        # the mode lies past K, and q^(n - mode - K) is below half an ulp, so H(theta)'s
+        # window is KB(n, theta, q)'s, mode +- K, and its entries are the same bit for bit
+        q = QBase(qv)
+        t, kb = kb_table(Heine(theta, q)), kb_table(KempBinomial(n, theta, q))
+        assert t.offset == kb.offset > 0
+        assert np.array_equal(t.probs, kb.probs)
+        assert len(t) <= 2 * window_half_width(q) + 5  # 2K + 1 with the library's K: 2,473 at q = 0.999
 
     @pytest.mark.parametrize("qv", [0.998, 0.999])
     def test_pmf_near_q_one_against_mpmath(self, qv):
