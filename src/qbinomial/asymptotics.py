@@ -197,7 +197,9 @@ def sigma_limit(beta, q) -> float:
     two dsigmoid lattice sums. By Poisson summation (the Mellin dual) it is also
     (1/h) [1 + 2 sum_k a_k/sinh(a_k) cos(2 pi k beta)], a_k = 2 pi^2 k/h, h = ln(1/q),
     whose terms fall like e^(-a_k) where the lattice's fall like e^(-h): the dual
-    is used for h < pi sqrt 2, with _fourier_terms(q) terms.
+    is used for h < pi sqrt 2, with _fourier_terms(q) terms. Var X + Var Y is the same bilateral
+    sum at beta = {alpha + 1/2}: the variance of DN(alpha, q), the law of X - Y for independent
+    X ~ H(q^(1/2 - alpha)) and Y ~ H(q^(1/2 + alpha)) (Kemp 1997).
     """
     b = _beta_float(beta)
     q = as_qbase(q)

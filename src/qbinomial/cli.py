@@ -21,9 +21,11 @@ import numpy as np
 from .asymptotics import (
     ConsistencyError,
     FractionalDrift,
+    c_fourier,
     dnorm_alpha,
     limit_law,
     mean_expansion,
+    sigma_limit,
 )
 from .distributions import (
     DiscreteNormal,
@@ -164,11 +166,9 @@ def _cmd_moments(args) -> dict:
     if isinstance(law, KempBinomial):
         m = kb_moments(law)
         return {"mean": [m.mean], "variance": [m.variance]}
-    # the discrete normal: both sums in u = x - round(alpha), which keep their digits at any alpha
-    t, center = tabulate(law), round(law.alpha)
-    u = (t.x_values() - center).astype(float)
-    mean = float(np.dot(u, t.probs))
-    return {"mean": [center + mean], "variance": [float(np.dot((u - mean) ** 2, t.probs))]}
+    # DN(alpha, q) is H(q^(1/2 - alpha)) - H(q^(1/2 + alpha)), the two independent (Kemp 1997)
+    s, q = law.alpha + 0.5, law.q
+    return {"mean": [law.alpha + (c_fourier(s, q) - 0.5)], "variance": [sigma_limit(s - math.floor(s), q)]}
 
 
 def _cmd_sample(args) -> dict:

@@ -99,7 +99,8 @@ def Heine(theta, q) -> KempBinomial:
 
 @dataclass(frozen=True)
 class DiscreteNormal:
-    """Discrete normal on Z: pmf proportional to q**(x*x/2 - x*alpha)."""
+    """Discrete normal on Z: pmf proportional to q**(x*x/2 - x*alpha), the law of X - Y for
+    independent X ~ H(q^(1/2 - alpha)) and Y ~ H(q^(1/2 + alpha)) (Kemp 1997)."""
 
     alpha: float
     q: QBase
@@ -323,7 +324,7 @@ def _logit_rows(triples: list, q: QBase) -> tuple[list[int], np.ndarray]:
     Row r holds x = first[r], first[r] + 1, ..., and 0.0 off its window: the tables are
     laid out with every mode at one index, so the ratios, both cumulative sums and exp
     run once for all of them, in O(rows K) plus a bisection per row. Each row is divided
-    by the sum over its window alone, so it equals _logit_table of its triple, bit for bit.
+    by the sum over its window alone, so it equals kb_table of its law, bit for bit.
     """
     h, K = -q.log, _half_width(q)
     modes, los, his = zip(*(_window(t, q, K) for t in triples))
@@ -349,17 +350,13 @@ def _logit_rows(triples: list, q: QBase) -> tuple[list[int], np.ndarray]:
     return first, probs
 
 
-def _logit_table(d: KempBinomial) -> PMFTable:
-    """d's table on its window (see _window): l(x) summed outward from the mode."""
+def kb_table(d: KempBinomial) -> PMFTable:
+    """Table on the window mode +- K of {0, ..., n} in O(K + log n), n = inf for a Heine law:
+    l(x) summed outward from the mode (see _window)."""
     (lm, e, n), h = _logits(d), -d.q.log
     mode, lo, hi = _window((lm, e, n), d.q, _half_width(d.q))
     ell = _log_ratios(np.arange(lo, hi), lm - (e + lo) * h, lo, n, h)
     return _normalised_table(lo, _outward(ell, mode - lo))
-
-
-def kb_table(d: KempBinomial) -> PMFTable:
-    """Table on the window mode +- K of {0, ..., n} in O(K + log n), n = inf for a Heine law."""
-    return _logit_table(d)
 
 
 def kb_moments(d: KempBinomial) -> MomentPair:
@@ -398,7 +395,7 @@ def heine_table(d: KempBinomial) -> PMFTable:
     front, so offset is always 0: perfbench's check_heine_table reads index i as x = i
     (ROADMAP item 1).
     """
-    t = _logit_table(d)
+    t = kb_table(d)
     return PMFTable(0, np.concatenate((np.zeros(t.offset), t.probs))) if t.offset else t
 
 

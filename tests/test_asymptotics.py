@@ -410,6 +410,20 @@ class TestLimitLaw:
         for x in range(-20, 21):
             assert t.prob(x) == pytest.approx(math.exp(log_c + expo(x) * math.log(qv)), rel=1e-12)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.73])
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.9, 0.999])
+    def test_lattice_moments(self, qv, beta):
+        # lattice point x sits at (x - (beta + c - delta))/sigma, so the lattice law has mean
+        # beta + c - delta and variance sigma^2; the table's sums round about eps per unit of E|x|
+        eps = 2.0**-52
+        law = limit_law(beta, QBase(qv))
+        t = law.lattice_probs
+        xs = t.x_values().astype(float)
+        mean = math.fsum((xs * t.probs).tolist())
+        variance = math.fsum(((xs - mean) ** 2 * t.probs).tolist())
+        assert abs(mean - (beta + law.c_value - law.delta)) <= 4.0 * eps * (1.0 + law.sigma)
+        assert variance == pytest.approx(law.sigma**2, rel=4.0 * eps, abs=0.0)
+
     def test_sigma_is_sqrt_of_variance_series(self):
         law = limit_law(0.3, Q5)
         assert law.sigma == pytest.approx(math.sqrt(sigma_limit(0.3, Q5)), rel=1e-14)

@@ -27,6 +27,16 @@ def csv_rows(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def sigma2_ref(beta: float, qv: float):
+    """sigma^2(beta, q) at 40 digits: (1/h) (1 + 2 sum_k a_k/sinh(a_k) cos(2 pi k beta)),
+    a_k = 2 pi^2 k/h, h = ln(1/q), with terms until a_k passes 100, where they are below 1e-41."""
+    with mp.workdps(40):
+        h = -mp.log(mp.mpf(qv))
+        a = [2 * mp.pi**2 * k / h for k in range(1, int(100 * h / (2 * math.pi**2)) + 2)]
+        terms = (ak / mp.sinh(ak) * mp.cos(2 * mp.pi * k * mp.mpf(beta)) for k, ak in enumerate(a, 1))
+        return (1 + 2 * mp.fsum(terms)) / h
+
+
 class TestParsers:
     def test_theta_plain(self):
         q = QBase(0.5)
@@ -140,6 +150,35 @@ class TestMomentsCommand:
         )
         assert code == 0
         assert float(csv_rows(out)[0]["mean"]) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("qv", ["0.999999", "0.999999999"])
+    def test_dnorm_closed_forms_near_q_1(self, capsys, monkeypatch, qv):
+        # DN(alpha, q) is H(q^(1/2 - alpha)) - H(q^(1/2 + alpha)), so its moments are c and
+        # sigma^2 in closed form; no table of ~2 sqrt(1520/ln(1/q)) entries is built
+        def refuse(law):
+            raise AssertionError("moments built a table")
+
+        monkeypatch.setattr(qbinomial.cli, "tabulate", refuse)
+        code, out, err = run_cli(capsys, "moments", "--dist", "dnorm", "--alpha", "0.3", "--q", qv)
+        assert (code, err) == (0, "")
+        row = csv_rows(out)[0]
+        assert float(row["mean"]) == 0.3  # c(0.8) - 1/2 is about e^(-2 pi^2/ln(1/q)): 0.0
+        variance = float(sigma2_ref(0.8, float(qv)))
+        assert float(row["variance"]) == pytest.approx(variance, rel=4 * 2.0**-52, abs=0.0)
+
+    def test_dnorm_beta_just_below_1(self, capsys):
+        # alpha + 1/2 = -2^-53 exactly, so beta = {alpha + 1/2} = 1 - 2^-53, still in [0, 1)
+        alpha = -0.5 - 2.0**-53
+        code, out, err = run_cli(capsys, "moments", "--dist", "dnorm", "--alpha", repr(alpha), "--q", "0.5")
+        assert (code, err) == (0, "")
+        row = csv_rows(out)[0]
+        with mp.workdps(40):
+            a, xs = mp.mpf(alpha), range(-60, 61)
+            w = [mp.mpf(0.5) ** ((x - a) ** 2 / 2) for x in xs]
+            mean = mp.fsum(x * p for x, p in zip(xs, w)) / mp.fsum(w)
+        assert abs(mp.mpf(float(row["mean"])) - mean) <= math.ulp(float(mean))
+        variance = float(sigma2_ref(1.0 - 2.0**-53, 0.5))
+        assert float(row["variance"]) == pytest.approx(variance, rel=4 * 2.0**-52, abs=0.0)
 
     def test_kb_cost_does_not_grow_as_q_nears_1(self, capsys):
         # the kernel closes each ~2/ln(1/q)-term middle block by Euler-Maclaurin, so

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import qbinomial.distributions as D
+from qbinomial.asymptotics import c_fourier, sigma_limit
 from qbinomial.distributions import (
     Binomial,
     DiscreteNormal,
@@ -691,6 +692,44 @@ class TestSplitIdentities:
         tail = heine_table(Heine(first.theta.q_shift(n), q))
         whole = heine_table(Heine(theta, q))
         assert tv_distance(whole, _convolved(head, tail)) <= np.finfo(float).eps * len(whole)
+
+
+class TestHeineDifference:
+    """DN(alpha, q) is the law of X - Y for independent X ~ H(q^(1/2 - alpha)) and
+    Y ~ H(q^(1/2 + alpha)) (Kemp 1997): by the Jacobi triple product, the bilateral sum of
+    q^(x^2/2 - alpha x) z^x factors into the two Heine generating functions at z and 1/z.
+    So X's table convolved with Y's reversed table is dnorm_table, to eps per window entry,
+    and the moments of X - Y are the closed forms that `moments --dist dnorm` prints:
+    mean alpha + c(alpha + 1/2) - 1/2 and variance sigma^2({alpha + 1/2})."""
+
+    LAWS = [(qv, alpha) for qv in (0.3, 0.9, 0.999, 0.9999) for alpha in (0.0, 0.3, 0.5, 0.77, -3.6, 12.4)]
+
+    @staticmethod
+    def heine_pair(qv: float, alpha: float) -> list:
+        q = QBase(qv)
+        return [Heine(ScaledReal.from_q_power(0.5 - sign * alpha, q), q) for sign in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("qv, alpha", LAWS)
+    def test_table(self, qv, alpha):
+        x, y = map(kb_table, self.heine_pair(qv, alpha))
+        whole = dnorm_table(DiscreteNormal(alpha, QBase(qv)))
+        difference = _convolved(x, PMFTable(-y.last, y.probs[::-1]))
+        assert tv_distance(whole, difference) <= np.finfo(float).eps * len(whole)
+
+    @pytest.mark.parametrize("qv, alpha", LAWS)
+    def test_moments(self, qv, alpha):
+        """Mean of X minus mean of Y, and the sum of their variances, against the closed forms.
+
+        Each kb_moments pair is within the certificate of TestSplitIdentities.test_moment_split.
+        The closed forms, and the difference of the means, round about once more each.
+        """
+        q, eps, s = QBase(qv), np.finfo(float).eps, alpha + 0.5
+        laws = self.heine_pair(qv, alpha)
+        x, y = moments = [kb_moments(d) for d in laws]
+        spread = math.fsum(eps * mo.variance * (1.0 + abs(d.theta.log_abs())) for d, mo in zip(laws, moments))
+        mean, variance = alpha + (c_fourier(s, q) - 0.5), sigma_limit(s - math.floor(s), q)
+        assert abs((x.mean - y.mean) - mean) <= spread + eps * (x.mean + y.mean + abs(mean))
+        assert abs((x.variance + y.variance) - variance) <= spread + 2.0 * eps * variance
 
 
 def _law_grid(count: int, seed: int) -> list:
