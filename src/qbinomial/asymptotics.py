@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import DiscreteNormal, PMFTable, dnorm_table
+from .distributions import DiscreteNormal, MomentPair, PMFTable, dnorm_table
 from .qcalc import _ALT, _DIRECT_T, _K, _SERIES_DECAY, QBase, _lattice_sums, _one_minus_q_pow, as_qbase
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "c_direct",
     "c_fourier",
     "dnorm_alpha",
+    "dnorm_moments",
     "floor_case",
     "limit_law",
     "mean_expansion",
@@ -139,26 +140,33 @@ def _fourier_terms(q: QBase) -> int:
     return max(3, math.ceil(-q.log * 40.0 / (2.0 * math.pi**2)) + 2)
 
 
+def _fourier_coefs(q: QBase) -> list[float]:
+    """c's residue-series coefficients 2 pi/(h sinh a_k), a_k = 2 k pi^2/h, h = ln(1/q), k = 1 .. _fourier_terms(q);
+    for large a_k sinh is replaced by exp/2 to avoid overflow."""
+    h = -q.log
+    a = [2.0 * k * math.pi**2 / h for k in range(1, _fourier_terms(q) + 1)]
+    return [4.0 * math.pi / h * (math.exp(-x) if x < 745.0 else 0.0) if x > 35.0
+            else 2.0 * math.pi / (h * math.sinh(x)) for x in a]
+
+
 def c_fourier(f_value: float, q) -> float:
     """Residue-series form: 1/2 + sum_k 2 pi sin(2 k f pi)/(log q sinh(2 k pi^2/log q)).
 
     The library's c. The sine argument uses the fractional part of f (the
     series is 1-periodic), so integer f yields exactly 1/2. Coefficients decay
-    like exp(-2 k pi^2 / |log q|), so _fourier_terms(q) = O(|log q|) terms
-    reach ~1e-16; for large arguments sinh is replaced by exp/2 to avoid overflow.
+    like exp(-2 k pi^2 / |log q|), so _fourier_terms(q) = O(|log q|) terms reach ~1e-16.
     """
-    q = as_qbase(q)
-    frac = f_value - math.floor(f_value)
-    alq = -q.log
-    parts = [0.5]
-    for k in range(1, _fourier_terms(q) + 1):
-        a = 2.0 * k * math.pi**2 / alq
-        if a > 35.0:
-            coef = 4.0 * math.pi / alq * (math.exp(-a) if a < 745.0 else 0.0)
-        else:
-            coef = 2.0 * math.pi / (alq * math.sinh(a))
-        parts.append(coef * math.sin(2.0 * k * frac * math.pi))
-    return math.fsum(parts)
+    frac, coefs = f_value - math.floor(f_value), _fourier_coefs(as_qbase(q))
+    return math.fsum([0.5] + [c * math.sin(2.0 * k * frac * math.pi) for k, c in enumerate(coefs, 1)])
+
+
+def dnorm_moments(law: DiscreteNormal) -> MomentPair:
+    """DN(alpha, q) is X - Y for independent X ~ H(q^(1/2 - alpha)), Y ~ H(q^(1/2 + alpha)) (Kemp 1997): its
+    variance is sigma_limit({alpha + 1/2}), its mean alpha + c(alpha + 1/2) - 1/2, with c's sines taken as
+    (-1)^k sin(2 pi k r) at the exact r = alpha - round(alpha), near 0, so it keeps eps |alpha|; odd in alpha."""
+    r, s = law.alpha - round(law.alpha), law.alpha + 0.5
+    terms = [(-1) ** k * c * math.sin(2.0 * k * r * math.pi) for k, c in enumerate(_fourier_coefs(law.q), 1)]
+    return MomentPair(math.fsum([law.alpha] + terms), sigma_limit(s - math.floor(s), law.q))
 
 
 # Empirical O-constant for the expansion's error term; validated over the

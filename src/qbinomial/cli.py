@@ -21,11 +21,10 @@ import numpy as np
 from .asymptotics import (
     ConsistencyError,
     FractionalDrift,
-    c_fourier,
     dnorm_alpha,
+    dnorm_moments,
     limit_law,
     mean_expansion,
-    sigma_limit,
 )
 from .distributions import (
     DiscreteNormal,
@@ -48,24 +47,14 @@ _THETA_LITERAL = re.compile(
 
 
 def parse_theta(text: str, q: QBase) -> ScaledReal:
-    """theta as a plain float or an 'a*q^-b' or 'a*q^(-b)' literal (exponential regimes)."""
-    m = _THETA_LITERAL.match(text)
-    if m:
-        a, b = float(m.group(1)), float(m.group(3))
-        e = math.floor(b)  # a q^b = (a q^(b - e)) q^e, and q < q^(b - e) <= 1 keeps a's range
-        return ScaledReal.from_float(a * q.pow(b - e), q).q_shift(e)
-    return ScaledReal.from_float(float(text), q)
-
-
-def _theta_float(text: str, q: QBase) -> float:
-    """--theta as a float, for the commands whose theta is one: a plain float as float() reads
-    it, or a literal's value at base q, which must be finite and positive."""
-    if not _THETA_LITERAL.match(text):
-        return float(text)
-    theta = parse_theta(text, q).to_float()
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"theta {text!r} is {theta!r} at q = {q.value!r}, not finite and positive")
-    return theta
+    """theta = m q^e: a plain float (e = 0) or an 'a*q^-b' or 'a*q^(-b)' literal, exactly (exponential regimes)."""
+    literal = _THETA_LITERAL.match(text)
+    a, b = (float(literal.group(1)), float(literal.group(3))) if literal else (float(text), 0.0)
+    e = math.floor(b)  # a q^b = (a q^(b - e)) q^e, and q < q^(b - e) <= 1 keeps a's range
+    m = a * q.pow(b - e)
+    if not math.isfinite(m):
+        raise ValueError(f"theta {text!r} is not finite")
+    return ScaledReal.from_float(m, q).q_shift(e)
 
 
 def parse_n_list(text: str) -> list[int]:
@@ -148,7 +137,7 @@ def _dist_from_args(args) -> object:
     if args.dist == "heine":
         if args.theta is None:
             raise ValueError("heine needs --theta")
-        return Heine(_theta_float(args.theta, q), q)
+        return Heine(parse_theta(args.theta, q), q)
     if args.dist == "dnorm":
         if args.alpha is None:
             raise ValueError("dnorm needs --alpha")
@@ -163,12 +152,8 @@ def _cmd_pmf(args) -> dict:
 
 def _cmd_moments(args) -> dict:
     law = _dist_from_args(args)
-    if isinstance(law, KempBinomial):
-        m = kb_moments(law)
-        return {"mean": [m.mean], "variance": [m.variance]}
-    # DN(alpha, q) is H(q^(1/2 - alpha)) - H(q^(1/2 + alpha)), the two independent (Kemp 1997)
-    s, q = law.alpha + 0.5, law.q
-    return {"mean": [law.alpha + (c_fourier(s, q) - 0.5)], "variance": [sigma_limit(s - math.floor(s), q)]}
+    m = kb_moments(law) if isinstance(law, KempBinomial) else dnorm_moments(law)
+    return {"mean": [m.mean], "variance": [m.variance]}
 
 
 def _cmd_sample(args) -> dict:
@@ -230,7 +215,7 @@ def _cmd_converge(args) -> dict:
     given = {k: getattr(args, k) for k in ("threshold", "lam", "mu", "n")}
     params: dict = {"q": QBase(args.q), **{k: v for k, v in given.items() if v is not None}}
     if args.theta is not None:
-        params["theta"] = _theta_float(args.theta, params["q"])
+        params["theta"] = parse_theta(args.theta, params["q"])
     if args.slope is not None:
         params["slope"] = _rational(args.slope)
         params["offset"] = args.offset

@@ -211,13 +211,16 @@ def _sweep_subexponential(q: QBase, params: dict, n_list) -> dict:
 
 
 def _sweep_reflection(q: QBase, params: dict, n_list) -> dict:
-    (theta,) = _require(params, "theta")
-    if not 0.0 < theta < math.inf:
-        raise ValueError(f"theta must be positive and finite, got {theta!r}")
-    limit = _rows(tabulate(Heine(q.value / theta, q)))
-    dual_base = ScaledReal.from_float(theta, q)
-    laws = [KempBinomial(n, dual_base.q_shift(-n), q) for n in n_list]
-    exact = _kb_sets([KempBinomial(n, q.value / theta, q) for n in n_list], q)
+    theta = Heine(*_require(params, "theta"), q).theta  # a float or m q^e, checked as a law's theta is
+    if theta.is_zero:
+        raise ValueError("theta must be positive, got 0")
+    # a theta binary64 holds is read as that float: tables round ln m - (e + i) h per (m, e) form
+    if 0.0 < theta.to_float() < math.inf:
+        theta = ScaledReal.from_float(theta.to_float(), q)
+    dual = ScaledReal.from_float(q.value / theta.mantissa, q).q_shift(-theta.exponent)  # q/theta
+    limit = _rows(tabulate(Heine(dual, q)))
+    laws = [KempBinomial(n, theta.q_shift(-n), q) for n in n_list]
+    exact = _kb_sets([KempBinomial(n, dual, q) for n in n_list], q)
     distances, gaps = [], []
     for (part, rows), (_, exact_rows) in zip(_kb_sets(laws, q), exact):
         reflected = _reflected(rows, n_list[part])
@@ -242,8 +245,9 @@ def _sweep_degenerate(q: QBase, params: dict, n_list) -> dict:
 
 def _sweep_q_to_1(q: QBase, params: dict, n_list) -> dict:
     n, theta = _require(params, "n", "theta")
-    if not 0.0 <= theta < math.inf:
-        raise ValueError(f"theta must be nonnegative and finite, got {theta!r}")
+    theta = Heine(theta, q).theta.to_float()  # its value at base q; the rows sweep q itself
+    if theta == math.inf:
+        raise ValueError(f"theta is not a finite float at q = {q.value!r}")
     q_list = list(params.get("q_list") or [q.value])
     limit = binomial_table(Binomial(n, theta / (1.0 + theta)))
     distances = [tv_distance(kb_table(KempBinomial(n, theta, QBase(qv))), limit) for qv in q_list]

@@ -13,6 +13,7 @@ from qbinomial.asymptotics import (
     c_direct,
     c_fourier,
     dnorm_alpha,
+    dnorm_moments,
     floor_case,
     limit_law,
     mean_expansion,
@@ -291,6 +292,37 @@ class TestDnormAlpha:
         assert dnorm_alpha(0.0) == 0.5
         assert dnorm_alpha(0.7) == pytest.approx(0.2, rel=1e-15)
         assert dnorm_alpha(0.3) == pytest.approx(0.8, rel=1e-15)
+
+
+def _dnorm_laws(count: int, seed: int) -> list:
+    """(alpha, q) pairs: two laws whose means are far smaller than |alpha|, then random ones."""
+    rng = random.Random(seed)
+    laws = [(-0.0028885502395401552, 1.07e-7), (0.3, 1e-8)]
+    for _ in range(count):
+        alpha = math.exp(rng.uniform(math.log(1e-4), math.log(2.0))) * rng.choice((-1.0, 1.0))
+        laws.append((alpha, math.exp(rng.uniform(math.log(1e-8), math.log(0.95)))))
+    return laws
+
+
+class TestDnormMoments:
+    @pytest.mark.parametrize("alpha, qv", _dnorm_laws(24, seed=7))
+    def test_against_mpmath(self, alpha, qv, oracle):
+        # the sines' arguments 2 pi k (alpha - round(alpha)) lie near 0, so the mean keeps eps |alpha|
+        # (3.0 eps |alpha| at worst over 500 random laws; c's sines at 2 pi k {alpha + 1/2} gave 3.0e3)
+        got = dnorm_moments(DiscreteNormal(alpha, QBase(qv))).mean
+        with mp.workdps(oracle.DPS):
+            mean, _ = oracle.dnorm_moments_ref(alpha, qv)
+            assert abs(got - mean) <= 4 * 2.0**-52 * abs(alpha)
+
+    @pytest.mark.parametrize("qv", [1e-8, 0.3, 0.9, 0.9999])
+    def test_zero_alpha_has_mean_zero(self, qv):
+        assert dnorm_moments(DiscreteNormal(0.0, QBase(qv))).mean == 0.0
+
+    @pytest.mark.parametrize("qv", [1e-6, 0.5, 0.99])
+    def test_mean_is_odd_in_alpha(self, qv):
+        q = QBase(qv)
+        for alpha in [0.5, 2.5, -3.5, 0.3, 1e-9, 12.77, 4503599627370495.5] + [a for a, _ in _dnorm_laws(8, 1)]:
+            assert dnorm_moments(DiscreteNormal(-alpha, q)).mean == -dnorm_moments(DiscreteNormal(alpha, q)).mean
 
 
 class TestLimitLaw:

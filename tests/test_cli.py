@@ -8,11 +8,13 @@ import subprocess
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import qbinomial
 from qbinomial.cli import _build_parser, _emit, _flag_table, _parse, main, parse_n_list, parse_theta
-from qbinomial.distributions import Heine, KempBinomial, heine_mean, kb_moments
+from qbinomial.distributions import Heine, KempBinomial, heine_mean, kb_moments, sample_by_inversion
+from qbinomial.metrics import convergence_sweep, tabulate
 from qbinomial.qcalc import QBase, ScaledReal
 from test_readme import COMMANDS
 
@@ -50,6 +52,11 @@ class TestParsers:
             60.5 * -q.log, rel=1e-14
         )
         assert parse_theta("2*q^(-10)", q) == s
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400*q^-3"])
+    def test_theta_not_finite(self, text):
+        with pytest.raises(ValueError, match=r"^theta .* is not finite$"):
+            parse_theta(text, QBase(0.5))
 
     def test_n_list(self):
         assert parse_n_list("10,20,30") == [10, 20, 30]
@@ -528,11 +535,53 @@ class TestExitCodes:
         ["converge", "--scenario", "q-to-1-binomial", "--n", "10", "--q-list", "0.99"],
     ], ids=["heine", "exponential-reflection", "q-to-1-binomial"])
     def test_theta_literal_not_finite_and_positive(self, capsys, argv, theta):
-        # 2 q^-5000 overflows binary64 at q = 0.5
+        # a literal is m q^e exactly: 2 q^-5000 overflows binary64 at q = 0.5 but is a law's theta,
+        # and 0 q^-3 is 0; only q-to-1-binomial, which sweeps q, needs theta's value as a float
         flag = [theta] if theta.startswith("--") else ["--theta", theta]
-        code, out, err = run_cli(capsys, *argv, *flag, "--q", "0.5")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: theta") and "not finite and positive" in err
+        got = code, out, err = run_cli(capsys, *argv, *flag, "--q", "0.5")
+        if theta == "0*q^-3":
+            assert got == run_cli(capsys, *argv, "--theta", "0", "--q", "0.5")
+        elif theta == "2*q^-5000" and "q-to-1-binomial" not in argv:
+            assert code == 0 and out and err == ""
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: theta")
+
+    @pytest.mark.parametrize("command", ["pmf", "moments", "sample"])
+    def test_heine_literal_past_dbl_max(self, capsys, command):
+        # 2 q^-5000 at q = 0.5 is 2^5001: the document is the library's H(2 q^-5000), bit for bit
+        q = QBase(0.5)
+        law = Heine(parse_theta("2*q^-5000", q), q)
+        extra = ["--count", "40", "--seed", "7"] if command == "sample" else []
+        code, out, err = run_cli(capsys, command, "--dist", "heine", "--theta", "2*q^-5000", "--q", "0.5", *extra)
+        assert (code, err) == (0, "")
+        rows = csv_rows(out)
+        if command == "pmf":
+            table = tabulate(law)
+            assert (table.offset, table.probs.size) == (4951, 101)
+            assert [int(r["x"]) for r in rows] == table.x_values().tolist()
+            assert [float(r["p"]) for r in rows] == table.probs.tolist()
+        elif command == "moments":
+            m = kb_moments(law)
+            assert (float(rows[0]["mean"]), float(rows[0]["variance"])) == (m.mean, m.variance)
+            assert m.mean == 5001.5 and m.variance == pytest.approx(1.442695, rel=1e-6)
+        else:
+            draws = sample_by_inversion(tabulate(law), np.random.default_rng(7), size=40)
+            assert [int(r["value"]) for r in rows] == draws.tolist()
+
+    def test_reflection_literal_past_dbl_max(self, capsys):
+        # theta = 2 q^-2000 overflows binary64 at q = 0.5; q/theta and theta q^-n stay exact
+        code, out, err = run_cli(
+            capsys, "converge", "--scenario", "exponential-reflection", "--theta", "2*q^-2000",
+            "--q", "0.5", "--n-list", "10:40:10",
+        )
+        assert (code, err) == (0, "")
+        rows = csv_rows(out)
+        q = QBase(0.5)
+        theta = ScaledReal.from_float(2.0, q).q_shift(-2000)
+        report = convergence_sweep("exponential-reflection", {"q": q, "theta": theta}, [10, 20, 30, 40])
+        assert [float(r["distance"]) for r in rows] == report.columns["distance"]
+        assert [float(r["exact_identity_gap"]) for r in rows] == [0.0] * 4
 
     def test_infinite_heine_theta(self, capsys):
         code, out, err = run_cli(
