@@ -2,9 +2,9 @@
 
 Implements the O(1) mean-shift constant c(beta, q) as its Fourier/residue
 series (the bilateral geometric series stays as the independent reference), the
-mean expansion mu_n ~ f(n) + c with an explicit error bound, the limiting
-variance (a lattice series or its Mellin dual), and the discrete-normal limit
-laws reached along subsequences with constant fractional part beta = {f(n)}.
+mean expansion mu_n ~ f(n) + c with a certified error bound, the limiting
+variance (a lattice series or its Mellin dual (1 + c')/h), and the discrete-normal
+limit laws reached along subsequences with constant fractional part beta = {f(n)}.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ class FractionalDrift:
     def value(self, n: int) -> float:
         # int / int is correctly rounded, so this is float(slope * n) without Fraction arithmetic
         return self.slope.numerator * n / self.slope.denominator + self.offset
+
+    def checked_value(self, n: int) -> float:
+        """f(n), or DriftRangeError if it lies outside (0, n)."""
+        if not 0.0 < (f := self.value(n)) < n:
+            raise DriftRangeError(f"f({n}) = {f} outside (0, {n})")
+        return f
 
     def beta_fraction(self, n: int) -> Fraction:
         """Exact fractional part of f(n) as a Fraction."""
@@ -142,7 +148,7 @@ def _fourier_terms(q: QBase) -> int:
 
 def _fourier_coefs(q: QBase) -> list[float]:
     """c's residue-series coefficients 2 pi/(h sinh a_k), a_k = 2 k pi^2/h, h = ln(1/q), k = 1 .. _fourier_terms(q);
-    for large a_k sinh is replaced by exp/2 to avoid overflow."""
+    for large a_k sinh is replaced by exp/2 to avoid overflow. c and sigma^2 both read this list."""
     h = -q.log
     a = [2.0 * k * math.pi**2 / h for k in range(1, _fourier_terms(q) + 1)]
     return [4.0 * math.pi / h * (math.exp(-x) if x < 745.0 else 0.0) if x > 35.0
@@ -152,12 +158,13 @@ def _fourier_coefs(q: QBase) -> list[float]:
 def c_fourier(f_value: float, q) -> float:
     """Residue-series form: 1/2 + sum_k 2 pi sin(2 k f pi)/(log q sinh(2 k pi^2/log q)).
 
-    The library's c. The sine argument uses the fractional part of f (the
-    series is 1-periodic), so integer f yields exactly 1/2. Coefficients decay
-    like exp(-2 k pi^2 / |log q|), so _fourier_terms(q) = O(|log q|) terms reach ~1e-16.
+    The library's c. The series is 1-periodic, so the sines are taken at the exact
+    r = f - round(f), whose argument 2 pi k r lies near 0, not next to 2 pi k; integer f
+    yields exactly 1/2. Coefficients decay like exp(-2 k pi^2 / |log q|), so
+    _fourier_terms(q) = O(|log q|) terms reach ~1e-16.
     """
-    frac, coefs = f_value - math.floor(f_value), _fourier_coefs(as_qbase(q))
-    return math.fsum([0.5] + [c * math.sin(2.0 * k * frac * math.pi) for k, c in enumerate(coefs, 1)])
+    r, coefs = f_value - round(f_value), _fourier_coefs(as_qbase(q))
+    return math.fsum([0.5] + [c * math.sin(2.0 * k * r * math.pi) for k, c in enumerate(coefs, 1)])
 
 
 def dnorm_moments(law: DiscreteNormal) -> MomentPair:
@@ -169,30 +176,24 @@ def dnorm_moments(law: DiscreteNormal) -> MomentPair:
     return MomentPair(math.fsum([law.alpha] + terms), sigma_limit(s - math.floor(s), law.q))
 
 
-# Empirical O-constant for the expansion's error term; validated over the
-# acceptance grid, not claimed as a theorem.
-def _error_constant(q: QBase) -> float:
-    return 10.0 / (1.0 - q.value)
-
-
 def mean_expansion(n: int, drift: FractionalDrift, q) -> MeanAsymptotics:
-    """Asymptotic mean of KB(n, q^-f(n), q): f(n) + c({f(n)}, q).
+    """Asymptotic mean of KB(n, q^-f(n), q): f(n) + c({f(n)}, q); requires 0 < f(n) < n.
 
-    error_bound = 10/(1-q) * q^min(f/2, n-f) mirrors the residue-analysis
-    remainder; requires 0 < f(n) < n.
+    mu_n = sum_{0<=i<n} 1/(1 + q^(f-i)) and f + c is that sum over all integers i, less 1 for each i < 0, so
+    mu_n - f - c = L - R with positive L = sum_{j>=1} 1/(1 + q^(-f-j)) <= q^(f+1)/(1-q) and
+    R = sum_{i>=n} 1/(1 + q^(f-i)) <= q^(n-f)/(1-q): error_bound = max(q^(f+1), q^(n-f))/(1-q) is certified.
+    L can be within q^(f+1) relative of its bound, so the bound is raised by 1e-12 relative, past the
+    rounding of q^x = exp(x ln q), about 2 |x ln q| eps <= 3.3e-13 before it underflows to 0.
     """
     q = as_qbase(q)
-    f = drift.value(n)
-    if not 0.0 < f < n:
-        raise DriftRangeError(f"f({n}) = {f} outside (0, {n})")
+    f = drift.checked_value(n)
     c = c_fourier(f, q)
-    bound = _error_constant(q) * q.pow(min(0.5 * f, n - f))
     return MeanAsymptotics(
         f_value=f,
         beta=drift.beta(n),
         c_value=c,
         estimate=f + c,
-        error_bound=bound,
+        error_bound=max(q.pow(f + 1.0), q.pow(n - f)) / (1.0 - q.value) * (1.0 + 1e-12),
         terms_used=_fourier_terms(q),
     )
 
@@ -202,10 +203,11 @@ def sigma_limit(beta, q) -> float:
 
     Both halves of the finite variance split, extended to infinite range:
     sum_{i>=0} q^(-beta-i)/(1+q^(-beta-i))^2 + sum_{i>=0} q^(i+1-beta)/(1+q^(i+1-beta))^2,
-    two dsigmoid lattice sums. By Poisson summation (the Mellin dual) it is also
-    (1/h) [1 + 2 sum_k a_k/sinh(a_k) cos(2 pi k beta)], a_k = 2 pi^2 k/h, h = ln(1/q),
-    whose terms fall like e^(-a_k) where the lattice's fall like e^(-h): the dual
-    is used for h < pi sqrt 2, with _fourier_terms(q) terms. Var X + Var Y is the same bilateral
+    two dsigmoid lattice sums. The KB variance is d mean / d ln theta, so this is also
+    (1 + c'(beta))/h, h = ln(1/q): by Poisson summation (the Mellin dual),
+    (1/h) [1 + sum_k 2 pi k c_k cos(2 pi k beta)] with c's coefficients c_k = _fourier_coefs(q),
+    whose terms fall like e^(-2 pi^2 k/h) where the lattice's fall like e^(-h): the dual
+    is used for h < pi sqrt 2. Var X + Var Y is the same bilateral
     sum at beta = {alpha + 1/2}: the variance of DN(alpha, q), the law of X - Y for independent
     X ~ H(q^(1/2 - alpha)) and Y ~ H(q^(1/2 + alpha)) (Kemp 1997).
     """
@@ -213,12 +215,8 @@ def sigma_limit(beta, q) -> float:
     q = as_qbase(q)
     h = -q.log
     if h < math.pi * math.sqrt(2.0):
-        parts = [1.0]
-        for k in range(1, _fourier_terms(q) + 1):
-            a = 2.0 * k * math.pi**2 / h
-            coef = 4.0 * a * math.exp(-a) / -math.expm1(-2.0 * a)  # 2 a/sinh(a), never overflows
-            parts.append(coef * math.cos(2.0 * k * math.pi * b))
-        return math.fsum(parts) / h
+        return math.fsum([1.0] + [2.0 * math.pi * k * c * math.cos(2.0 * k * math.pi * b)
+                                  for k, c in enumerate(_fourier_coefs(q), 1)]) / h
     return math.fsum(_lattice_sums(("dsigmoid",), [(-b * h, math.inf), (-(1.0 - b) * h, math.inf)], h)[0])
 
 

@@ -192,10 +192,7 @@ def _sweep_subexponential(q: QBase, params: dict, n_list) -> dict:
     exact_offset = Fraction(drift.offset)
     laws = []
     for n in n_list:
-        f = drift.value(n)
-        if not 0.0 < f < n:
-            raise ValueError(f"f({n}) = {f} outside (0, n)")
-        laws.append(KempBinomial(n, ScaledReal.from_q_power(-f, q), q))
+        laws.append(KempBinomial(n, ScaledReal.from_q_power(-drift.checked_value(n), q), q))
     (means,) = _logit_sums(("sigmoid",), laws)
     shifts = [
         math.ceil(mu) if half and 2 * (drift.slope * n + exact_offset) > n - 1 else math.floor(mu)

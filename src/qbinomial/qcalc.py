@@ -101,7 +101,8 @@ _EM_HEAD = 16
 _BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160)  # B_2k/(2k)!
 # d^j sigmoid/dt^j = P_j(s), s = sigmoid(t): P_0 = s, P_(j+1) = P_j'(s) s (1 - s); the
 # coefficients, highest power first. log1mexp(t) = softplus(t + i pi), so its
-# derivatives are those of softplus at s = sigmoid(t + i pi) = 1 + 1/expm1(t).
+# derivatives are those of softplus at s = sigmoid(t + i pi) = 1 + 1/expm1(t). P_0 .. P_8
+# are kept: log1mexp's five corrections read the furthest.
 _SIGMOID_POLYS = (
     (1, 0),
     (-1, 1, 0),
@@ -112,8 +113,6 @@ _SIGMOID_POLYS = (
     (720, -2520, 3360, -2100, 602, -63, 1, 0),
     (-5040, 20160, -31920, 25200, -10206, 1932, -127, 1, 0),
     (40320, -181440, 332640, -317520, 166824, -46620, 6050, -255, 1, 0),
-    (-362880, 1814400, -3780000, 4233600, -2739240, 1020600, -204630, 18660, -511, 1, 0),
-    (3628800, -19958400, 46569600, -59875200, 46070640, -21538440, 5921520, -874500, 57002, -1023, 1, 0),
 )
 _GAUSS_HALF = (  # the 12-point Gauss-Legendre rule on [-1, 1]: positive nodes, weights
     (0.1252334085114689, 0.3678314989981802, 0.5873179542866175,

@@ -151,6 +151,12 @@ class TestCFourier:
         value = c_fourier(0.37, QBase(0.99))
         assert math.isfinite(value)
 
+    @pytest.mark.parametrize("beta", [0.9655, 0.9755, 0.9845, 0.9986])
+    def test_centred_sines_near_one(self, beta, oracle):
+        # sines at 2 pi k (f - round(f)), not next to 2 pi k: sines at 2 pi k {f} read up to 3.7e-16 off here
+        with mp.workdps(oracle.DPS):
+            assert abs(c_fourier(beta, QBase(1.63e-8)) - oracle.c_ref(beta, 1.63e-8)) <= 1.3e-16
+
 
 class TestMeanExpansion:
     def test_matches_direct_sum_at_q_half(self):
@@ -176,6 +182,29 @@ class TestMeanExpansion:
             r = mean_expansion(n, drift, Q5)
             err = abs(mu_direct(n, r.f_value, Q5) - r.estimate)
             assert err <= r.error_bound + noise_floor
+
+    @staticmethod
+    def remainder(oracle, n: int, f: float, qv: float):
+        """mu_n - f - c({f}) at 40 digits, at the float f the library uses."""
+        with mp.workdps(oracle.DPS):
+            h = -oracle.qlog(qv)
+            return oracle.lattice_sum("sigmoid", mp.mpf(f) * h, h, n) - f - oracle.c_ref(f - math.floor(f), qv)
+
+    @pytest.mark.parametrize("qv", [0.3, 0.5, 0.9, 0.99])
+    def test_error_bound_holds_the_remainder(self, qv, oracle):
+        # the remainder is L - R and the bound max(L, R)'s, so it holds whether the low or
+        # the high end of the sum dominates
+        for slope in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
+            for n in (20, 40, 80):
+                r = mean_expansion(n, FractionalDrift(slope, 0.37), QBase(qv))
+                rem = self.remainder(oracle, n, r.f_value, qv)
+                assert abs(rem) <= r.error_bound, (slope, n, rem, r.error_bound)
+
+    def test_error_bound_is_tight_at_readme_example(self, oracle):
+        # asym --slope 3/10 --offset 0.25 --q 0.5, n = 200: the remainder is L ~ q^(f+1)/(1-q) = 7.29e-19
+        r = mean_expansion(200, FractionalDrift(Fraction(3, 10), 0.25), Q5)
+        rem = abs(self.remainder(oracle, 200, r.f_value, 0.5))
+        assert rem <= r.error_bound <= 1.01 * rem
 
     def test_drift_range_error(self):
         drift = FractionalDrift(Fraction(1, 2), 30.0)
@@ -238,10 +267,28 @@ class TestSigmaLimit:
 
     @pytest.mark.parametrize("qv", [1e-4, 0.0118, 0.5, 0.999])
     def test_against_mpmath(self, qv, oracle):
-        for b in (0.3, 0.5):
-            with mp.workdps(oracle.DPS):
-                ref = oracle.sigma2_ref(b, qv)
-                assert abs(sigma_limit(b, QBase(qv)) - ref) <= 1e-15 * ref
+        # beta = 0.3, 0.5 at qv, and seeded random (beta, q) on qv's side of q = 0.01176:
+        # q log-uniform in [1e-8, 0.0117] (lattice form) or 1 - q log-uniform in [1e-3, 0.988] (dual)
+        rng = random.Random(qv)
+        lattice = qv < 0.01176
+        points = [(0.3, qv), (0.5, qv)] + [
+            (rng.random(), math.exp(rng.uniform(math.log(1e-8), math.log(0.0117))) if lattice
+             else -math.expm1(rng.uniform(math.log(1e-3), math.log(0.988))))
+            for _ in range(4)
+        ]
+        with mp.workdps(oracle.DPS):
+            for b, q in points:
+                ref = oracle.sigma2_ref(b, q)
+                assert abs(sigma_limit(b, QBase(q)) - ref) <= 1e-15 * ref, (b, q)
+
+    @pytest.mark.parametrize("qv", [1e-3, 0.02, 0.1, 0.3])
+    def test_is_one_plus_c_prime_over_h(self, qv):
+        # the KB variance is d mean / d ln theta, so h sigma^2 - 1 = c'(beta): against c_fourier's
+        # central difference, on both the lattice (q = 1e-3) and the dual branch
+        q, step = QBase(qv), 1e-5
+        for b in (0.0, 0.05, 0.2, 0.37, 0.5, 0.71, 0.95):
+            slope = (c_fourier(b + step, q) - c_fourier(b - step, q)) / (2.0 * step)
+            assert abs(-q.log * sigma_limit(b, q) - 1.0 - slope) <= 1e-8, b
 
     def test_finite_n_variance_converges_to_limit(self):
         drift = FractionalDrift(Fraction(1, 2), 0.3)

@@ -352,6 +352,15 @@ class TestConvergeCommand:
         assert code == 2
         assert "constant" in err
 
+    def test_subexponential_drift_range_names_n(self, capsys):
+        # the sweep and asym share one f-range check, whose message names the row's n
+        code, out, err = run_cli(
+            capsys, "converge", "--scenario", "subexponential", "--q", "0.5",
+            "--slope", "1/2", "--offset", "30", "--n-list", "10,12",
+        )
+        assert (code, out) == (2, "")
+        assert "f(10) = 35.0 outside (0, 10)" in err
+
     def test_constant_mean_failure_order(self, capsys):
         # theta(inf) overflows and the row n = 100 < 2 mu is unbracketed: the limit's error wins
         code, out, err = run_cli(
